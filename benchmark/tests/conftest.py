@@ -1,0 +1,6 @@
+"""Make the benchmark's modules and the program under src/ importable."""
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
