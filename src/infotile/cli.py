@@ -139,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="infotile",
         description="Wang tile sets as entropy constraint systems: compile, witness, verify, refute.",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker bound (results are schedule independent)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("compile", help="tile set -> constraint system")

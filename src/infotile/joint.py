@@ -4,7 +4,9 @@ A FactoredJoint is a list of independent finite seed components (each with an
 exact rational probability vector) plus, per variable, a deterministic lookup
 table over the product of the seed components it references.  Marginal
 entropies are computed lazily: only the union of the seeds referenced by the
-queried variables is enumerated.
+queried variables is enumerated, and each subset's entropy once per joint.
+Every enumeration (entropies, exact marginals, witness tables) lays tables
+out over a seed product through `_broadcast_values`.
 
 Probabilities stay exact rationals; only logarithms are floating point.
 Entropies are in bits.
@@ -15,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -61,7 +62,9 @@ class Variable:
     """A deterministic map from a tuple of seed values to a finite value.
 
     `table` is row-major over the product of the referenced seeds, with the
-    last referenced seed varying fastest.
+    last referenced seed varying fastest.  It is read-only, so entropies
+    memoized by a joint never go stale; a writable array the caller still
+    holds is copied.
     """
 
     name: str
@@ -74,18 +77,23 @@ class Variable:
             raise ValueError(f"variable {self.name}: table must be flat")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"variable {self.name}: duplicate seed reference")
+        if arr is self.table and arr.flags.writeable:
+            arr = arr.copy()
+        arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "vmax", int(arr.max()) if arr.size else 0)
 
 
 class FactoredJoint:
-    """A joint distribution in seed/table form."""
+    """A joint distribution in seed/table form, with its subset entropies memoized."""
 
     def __init__(self, seeds: list[Seed], variables: list[Variable]):
-        self.seeds = {s.name: s for s in seeds}
-        if len(self.seeds) != len(seeds):
-            raise ValueError("duplicate seed name")
+        self.seeds = {}
+        for s in seeds:
+            if s.name in self.seeds:
+                raise ValueError(f"duplicate seed {s.name}")
+            self.seeds[s.name] = s
         self.variables = {}
         for v in variables:
             if v.name in self.variables:
@@ -100,6 +108,24 @@ class FactoredJoint:
                     f"variable {v.name}: table length {len(v.table)} != product {expected}"
                 )
             self.variables[v.name] = v
+        self._entropies: dict[frozenset, float] = {}
+
+    def extend(self, seeds: list[Seed], variables: list[Variable]) -> FactoredJoint:
+        """This joint plus new seeds and variables, whose names must be new.
+
+        The old variables are unchanged, so the extension starts from a copy
+        of this joint's entropy memo.
+        """
+        out = FactoredJoint([*self.seeds.values(), *seeds], [*self.variables.values(), *variables])
+        out._entropies = dict(self._entropies)
+        return out
+
+    def entropy(self, names) -> float:
+        """H of the named variables, computed once per subset and joint."""
+        key = frozenset(names)
+        if key not in self._entropies:
+            self._entropies[key] = subset_entropy(self, key)
+        return self._entropies[key]
 
     def var(self, name: str) -> Variable:
         try:
@@ -127,70 +153,61 @@ class FactoredJoint:
 # --- evaluation engine ---
 
 
-def _broadcast_values(joint: FactoredJoint, name: str, order: list[str]) -> np.ndarray:
-    """Values of `name` shaped for broadcasting over the seeds in `order`.
+def _broadcast_values(seeds: dict[str, Seed], v: Variable, order) -> np.ndarray:
+    """Values of `v` shaped for broadcasting over the seeds in `order`.
 
-    The table is reshaped to the variable's own seed axes, transposed into
-    `order` positions, and given singleton axes for unreferenced seeds, so
+    The one place a table is laid out over a seed product.  The table is
+    reshaped to the variable's own seed axes, transposed into `order`
+    positions, and given singleton axes for unreferenced seeds, so
     arithmetic against other variables' arrays enumerates the product
     without materializing coordinate grids.
     """
-    v = joint.var(name)
     if not v.seeds:
         return np.asarray(v.table, dtype=np.int64).reshape((1,) * max(len(order), 1))
-    own_sizes = [joint.seeds[sn].size for sn in v.seeds]
+    own_sizes = [seeds[sn].size for sn in v.seeds]
     arr = np.asarray(v.table, dtype=np.int64).reshape(own_sizes)
     pos = {sn: i for i, sn in enumerate(order)}
     axes = sorted(range(len(v.seeds)), key=lambda i: pos[v.seeds[i]])
     arr = np.transpose(arr, axes)
     shape = [1] * len(order)
     for i in axes:
-        shape[pos[v.seeds[i]]] = joint.seeds[v.seeds[i]].size
+        shape[pos[v.seeds[i]]] = seeds[v.seeds[i]].size
     return arr.reshape(shape)
 
 
-def _joint_codes(joint: FactoredJoint, names: list[str]):
-    """Return (codes, seed_order, total) for the variable tuple.
+def _product_shape(seeds: dict[str, Seed], order) -> list[int]:
+    return [seeds[sn].size for sn in order] or [1]
 
-    `codes` assigns one integer per atom of the referenced-seed product,
-    equal atoms getting equal codes iff the variable tuple agrees.  Codes
-    are compressed stepwise so they never overflow.
+
+def _codes(seeds: dict[str, Seed], variables: list[Variable], order) -> np.ndarray:
+    """One integer per atom of the product over `order`, row-major.
+
+    Atoms get equal codes iff every variable agrees on them.  Codes are
+    compressed stepwise so they never overflow.
     """
-    order = joint.referenced_seeds(names)
-    total = 1
-    for sn in order:
-        total *= joint.seeds[sn].size
-    codes = None
-    span = 1
-    for n in sorted(names):
-        vals = _broadcast_values(joint, n, order)
-        vmax = joint.var(n).vmax
-        if codes is None:
-            codes, span = vals, vmax + 1
-        else:
-            if span * (vmax + 1) > 2**62:
-                codes = np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
-                span = int(codes.max()) + 1
-            codes = codes * (vmax + 1) + vals
-            span *= vmax + 1
-    shape = [joint.seeds[sn].size for sn in order] if order else [1]
-    codes = np.broadcast_to(codes, shape).ravel()
-    return codes, order, total
+    codes, span = np.zeros((1,) * max(len(order), 1), dtype=np.int64), 1
+    for v in variables:
+        if span * (v.vmax + 1) > 2**62:
+            codes = np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
+            span = int(codes.max()) + 1
+        vals = _broadcast_values(seeds, v, order)
+        codes = vals if span == 1 else codes * (v.vmax + 1) + vals  # span 1: all codes are 0
+        span *= v.vmax + 1
+    return np.broadcast_to(codes, _product_shape(seeds, order)).ravel()
 
 
-def subset_entropy(joint: FactoredJoint, names, counter: dict | None = None) -> float:
+def subset_entropy(joint: FactoredJoint, names) -> float:
     """Joint entropy H of the named variables, in bits.
 
     Enumerates only the product of the union of referenced seed components.
-    `counter`, when given, records the number of atoms enumerated under key
-    'atoms' (max over calls).
+    This is the uncached computation; `FactoredJoint.entropy` memoizes it.
     """
     names = sorted(set(names))
     if not names:
         return 0.0
-    codes, order, total = _joint_codes(joint, names)
-    if counter is not None:
-        counter["atoms"] = max(counter.get("atoms", 0), total)
+    order = joint.referenced_seeds(names)
+    codes = _codes(joint.seeds, [joint.var(n) for n in names], order)
+    total = codes.size
     if all(joint.seeds[sn].uniform for sn in order):
         _, counts = np.unique(codes, return_counts=True)
         counts = counts.astype(np.float64)
@@ -208,18 +225,11 @@ def subset_entropy(joint: FactoredJoint, names, counter: dict | None = None) -> 
     return float(-np.dot(pm, np.log2(pm)))
 
 
-def eval_expression(joint: FactoredJoint, expr: InfoExpr,
-                    cache: dict | None = None, counter: dict | None = None) -> float:
-    """Evaluate a linear entropy expression against a joint."""
+def eval_expression(joint: FactoredJoint, expr: InfoExpr) -> float:
+    """Evaluate a linear entropy expression against a joint's entropy memo."""
     out = 0.0
     for vs, coef in expr.sorted_terms():
-        if cache is not None and vs in cache:
-            h = cache[vs]
-        else:
-            h = subset_entropy(joint, vs, counter=counter)
-            if cache is not None:
-                cache[vs] = h
-        out += float(coef) * h
+        out += float(coef) * joint.entropy(vs)
     return out
 
 
@@ -256,57 +266,54 @@ def entropic_vector(joint: FactoredJoint, names: list[str],
 # --- exact (rational) marginals, for uniformity and balance checks ---
 
 
-def exact_marginal(joint: FactoredJoint, names) -> dict[tuple, Fraction]:
-    """Exact marginal pmf of the named variable tuple (sorted name order)."""
-    names = sorted(set(names))
-    order = joint.referenced_seeds(names)
-    out: dict[tuple, Fraction] = {}
-    seed_vals = [range(joint.seeds[sn].size) for sn in order]
-    pos = {sn: i for i, sn in enumerate(order)}
-    specs = []
-    for n in names:
-        v = joint.var(n)
-        strides = []
-        stride = 1
-        for sn in reversed(v.seeds):
-            strides.append((pos[sn], stride))
-            stride *= joint.seeds[sn].size
-        specs.append((v, strides))
-    for atom in product(*seed_vals):
-        p = Fraction(1)
-        for sn, val in zip(order, atom):
-            p *= joint.seeds[sn].probs[val]
-        if p == 0:
+def _pmf(seeds: dict[str, Seed], variables: list[Variable]) -> dict[tuple, Fraction]:
+    """Exact law of a variable tuple: integer atom counts times exact seed weights.
+
+    A uniform seed weighs every atom alike.  Each other seed joins the code
+    as the index of its probability value, so the atoms counted under one
+    code share one exact weight.  Zero-probability atoms are left out.
+    """
+    order = sorted({sn for v in variables for sn in v.seeds})
+    base, levels, classes = Fraction(1), [], []
+    for sn in order:
+        seed = seeds[sn]
+        if seed.uniform:
+            base /= seed.size
             continue
-        key = tuple(
-            int(v.table[sum(atom[i] * s for i, s in strides)]) for v, strides in specs
-        )
-        out[key] = out.get(key, Fraction(0)) + p
+        levels.append(sorted(set(seed.probs)))
+        index = {p: i for i, p in enumerate(levels[-1])}
+        classes.append(Variable(sn, (sn,), np.array([index[p] for p in seed.probs])))
+    codes = _codes(seeds, [*variables, *classes], order)
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    shape = _product_shape(seeds, order)
+    at = np.unravel_index(first, shape)
+    columns = [np.broadcast_to(_broadcast_values(seeds, v, order), shape)[at].tolist()
+               for v in (*variables, *classes)]
+    out: dict[tuple, Fraction] = {}
+    for count, *row in zip(counts.tolist(), *columns):
+        key, cls = tuple(row[:len(variables)]), row[len(variables):]
+        p = math.prod((lv[c] for lv, c in zip(levels, cls)), start=count * base)
+        if p:
+            out[key] = out.get(key, Fraction(0)) + p
     return out
 
 
-def exact_uniform_over(joint: FactoredJoint, name: str, size: int) -> bool:
-    """True iff `name` is exactly uniform over the values 0..size-1.
+def exact_marginal(joint: FactoredJoint, names) -> dict[tuple, Fraction]:
+    """Exact marginal pmf of the named variable tuple (sorted name order)."""
+    return _pmf(joint.seeds, [joint.var(n) for n in sorted(set(names))])
 
-    Fast path: when every referenced seed is uniform the check reduces to
-    integer atom counting.
-    """
-    v = joint.var(name)
-    order = joint.referenced_seeds([name])
-    total = 1
-    for sn in order:
-        total *= joint.seeds[sn].size
-    if total % size != 0:
-        return False
-    if all(joint.seeds[sn].uniform for sn in order):
-        vals = np.asarray(v.table, dtype=np.int64)
-        if vals.min() < 0 or vals.max() >= size:
-            return False
-        counts = np.bincount(vals, minlength=size)
-        return bool((counts == total // size).all())
-    pmf = exact_marginal(joint, [name])
-    want = Fraction(1, size)
-    return set(pmf) == {(i,) for i in range(size)} and all(p == want for p in pmf.values())
+
+def _uniform_size(seeds: dict[str, Seed], v: Variable) -> int:
+    """n when `v` is exactly uniform over the values 0..n-1, else 0."""
+    pmf = _pmf(seeds, [v])
+    n = len(pmf)
+    uniform = set(pmf) == {(i,) for i in range(n)} and set(pmf.values()) == {Fraction(1, n)}
+    return n if uniform else 0
+
+
+def exact_uniform_over(joint: FactoredJoint, name: str, size: int) -> bool:
+    """True iff `name` is exactly uniform over the values 0..size-1."""
+    return _uniform_size(joint.seeds, joint.var(name)) == size
 
 
 def binary_entropy(t) -> float:
@@ -334,14 +341,21 @@ def joint_to_obj(joint: FactoredJoint) -> dict:
 
 
 def joint_from_obj(obj: dict) -> FactoredJoint:
-    seeds = [
-        Seed(s["name"], int(s["size"]), tuple(Fraction(p) for p in s["probs"]))
-        for s in obj["seeds"]
-    ]
-    variables = [
-        Variable(v["name"], tuple(v["seeds"]), np.asarray(v["table"], dtype=np.int64))
-        for v in obj["vars"]
-    ]
+    if not (isinstance(obj, dict) and isinstance(obj.get("seeds"), list)
+            and isinstance(obj.get("vars"), list)):
+        raise ValueError('not a factored joint: expected {"seeds": [...], "vars": [...]}')
+    try:
+        seeds = [
+            Seed(s["name"], int(s["size"]), tuple(Fraction(p) for p in s["probs"]))
+            for s in obj["seeds"]
+        ]
+        variables = []
+        for v in obj["vars"]:
+            table = np.asarray(v["table"], dtype=np.int64)
+            table.flags.writeable = False  # nobody else holds it: no copy needed
+            variables.append(Variable(v["name"], tuple(v["seeds"]), table))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed factored joint: {type(exc).__name__} {exc}") from None
     return FactoredJoint(seeds, variables)
 
 

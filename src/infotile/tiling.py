@@ -43,7 +43,13 @@ class TileSet:
 
     @staticmethod
     def from_obj(obj: dict) -> "TileSet":
-        return TileSet(int(obj["colors"]), tuple(tuple(t) for t in obj["tiles"]))
+        if not (isinstance(obj, dict) and "colors" in obj
+                and isinstance(obj.get("tiles"), list)):
+            raise TilingError('not a tile set: expected {"colors": t, "tiles": [[n, e, s, w], ...]}')
+        try:
+            return TileSet(int(obj["colors"]), tuple(tuple(t) for t in obj["tiles"]))
+        except TypeError as exc:
+            raise TilingError(f"malformed tile set: {exc}") from None
 
 
 @dataclass(frozen=True)

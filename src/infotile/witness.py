@@ -27,15 +27,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
 from .compiler import SparseAffineSystem, compile_ttori_indexed
 from .expressions import REL_EQ, REL_GE
 from .gadgets import BuildIndex, CycsIx, FlipIx, SatIx, SwIx, UnifIx, w_of_color
-from .joint import FactoredJoint, Seed, Variable, binary_entropy, eval_expression, uniform_seed
+from .joint import (FactoredJoint, Seed, Variable, _broadcast_values, _pmf, _product_shape,
+                    _uniform_size, binary_entropy, eval_expression, uniform_seed)
 from .systems import ConstraintSystem
 from .tiling import PeriodicTiling, TileSet, validate_tiling
 
@@ -177,30 +177,22 @@ class WitnessAssigner:
     """Incrementally builds a FactoredJoint, seed by seed, table by table."""
 
     def __init__(self):
-        self.seeds: list[Seed] = []
-        self.sizes: dict[str, int] = {}
+        self.seeds: dict[str, Seed] = {}
         self.vars: dict[str, Variable] = {}
 
     def add_seed(self, name: str, size: int, probs=None) -> str:
-        if name in self.sizes:
+        if name in self.seeds:
             raise WitnessError(f"duplicate seed {name}")
         seed = uniform_seed(name, size) if probs is None else Seed(name, size, tuple(probs))
-        self.seeds.append(seed)
-        self.sizes[name] = size
+        self.seeds[name] = seed
         return name
-
-    def seed_uniform(self, name: str) -> bool:
-        for s in self.seeds:
-            if s.name == name:
-                return s.uniform
-        raise WitnessError(f"unknown seed {name}")
 
     def assign(self, name: str, refs, table) -> None:
         if name in self.vars:
             raise WitnessError(f"variable {name} assigned twice")
         refs = tuple(refs)
         for r in refs:
-            if r not in self.sizes:
+            if r not in self.seeds:
                 raise WitnessError(f"variable {name} references unknown seed {r}")
         arr = np.asarray(table, dtype=np.int64)
         if arr.size and 0 <= int(arr.min()):
@@ -211,65 +203,35 @@ class WitnessAssigner:
                 arr = arr.astype(np.uint16)
         self.vars[name] = Variable(name, refs, arr)
 
-    def value_array(self, name: str, order: list[str], coords) -> np.ndarray:
-        v = self.vars[name]
-        pos = {sn: i for i, sn in enumerate(order)}
-        flat = np.zeros(len(coords[0]) if coords else 1, dtype=np.int64)
-        stride = 1
-        for sn in reversed(v.seeds):
-            flat = flat + coords[pos[sn]] * stride
-            stride *= self.sizes[sn]
-        return np.take(np.asarray(v.table, dtype=np.int64), flat)
+    def _tabulate(self, name: str, order: list[str], args: list[Variable], fn) -> None:
+        """Assign `name` = fn(values of `args`) over the product of `order`.
 
-    def _enumerate(self, order: list[str]):
-        total = 1
-        for sn in order:
-            total *= self.sizes[sn]
-        idx = np.arange(total, dtype=np.int64)
-        coords = []
-        suffix = total
-        for sn in order:
-            suffix //= self.sizes[sn]
-            coords.append((idx // suffix) % self.sizes[sn])
-        return total, coords
+        `fn` acts elementwise on the arrays `_broadcast_values` lays out; the
+        table is row-major over `order`, last seed fastest."""
+        values = fn(*[_broadcast_values(self.seeds, v, order) for v in args])
+        self.assign(name, order, np.broadcast_to(values, _product_shape(self.seeds, order)).ravel())
+
+    def _coordinate(self, seed: str) -> Variable:
+        return Variable(seed, (seed,), np.arange(self.seeds[seed].size))
 
     def derive(self, name: str, inputs: list[str], fn, extra_seeds=()) -> None:
         """Assign `name` = fn(input values..., extra seed values...).
 
-        The table is row-major over the sorted union of the inputs' seeds
-        with any extra seeds appended last (fastest)."""
-        base = sorted({sn for iv in inputs for sn in self.vars[iv].seeds})
-        order = base + list(extra_seeds)
-        total, coords = self._enumerate(order)
-        in_vals = [self.value_array(iv, order, coords) for iv in inputs]
-        extra_vals = [coords[len(base) + i] for i in range(len(extra_seeds))]
-        cols = [v.tolist() for v in in_vals + extra_vals]
-        table = [fn(*row) for row in zip(*cols)] if cols else [fn()]
-        self.assign(name, order, table)
+        `fn` receives numpy arrays.  The table is row-major over the sorted
+        union of the inputs' seeds with any extra seeds appended last
+        (fastest)."""
+        order = sorted({sn for iv in inputs for sn in self.vars[iv].seeds}) + list(extra_seeds)
+        args = [self.vars[iv] for iv in inputs] + [self._coordinate(sn) for sn in extra_seeds]
+        self._tabulate(name, order, args, fn)
 
     def derive_mod_sum(self, name: str, base_var: str, seed_name: str, size: int) -> None:
         """name = (base + seed) mod size; the standard third-leg table."""
         v = self.vars[base_var]
-        table = (np.add.outer(np.asarray(v.table, dtype=np.int64), np.arange(size)) % size).ravel()
-        self.assign(name, tuple(v.seeds) + (seed_name,), table)
-
-    def exact_uniform_range(self, name: str) -> int:
-        """Value count of `name`, verified exactly uniform over 0..count-1."""
-        v = self.vars[name]
-        if not all(self.seed_uniform(sn) for sn in v.seeds):
-            raise WitnessError(f"{name}: uniformity check requires uniform seeds")
-        vals = np.asarray(v.table, dtype=np.int64)
-        lo, hi = (int(vals.min()), int(vals.max())) if len(vals) else (0, 0)
-        if lo != 0:
-            raise WitnessError(f"{name}: values must start at 0")
-        size = hi + 1
-        counts = np.bincount(vals, minlength=size)
-        if not (counts == len(vals) // size).all() or len(vals) % size:
-            raise WitnessError(f"{name}: not exactly uniform (counts {counts.tolist()})")
-        return size
+        self._tabulate(name, [*v.seeds, seed_name], [v, self._coordinate(seed_name)],
+                       lambda x, p: (x + p) % size)
 
     def joint(self) -> FactoredJoint:
-        return FactoredJoint(list(self.seeds), list(self.vars.values()))
+        return FactoredJoint(list(self.seeds.values()), list(self.vars.values()))
 
 
 # --- index-driven auxiliary assignment ---
@@ -282,53 +244,63 @@ def _assign_sw(asg: WitnessAssigner, sw: SwIx) -> None:
 
 def _assign_cycs(asg: WitnessAssigner, cx: CycsIx) -> None:
     """Two-color the edges of the characteristic bipartite graph of (x1, x2)."""
-    order = sorted({sn for n in (cx.x1, cx.x2) for sn in asg.vars[n].seeds})
-    if not all(asg.seed_uniform(sn) for sn in order):
-        raise WitnessError(f"{cx.path}: cycle coloring requires uniform seeds")
-    total, coords = asg._enumerate(order)
-    a_vals = asg.value_array(cx.x1, order, coords)
-    b_vals = asg.value_array(cx.x2, order, coords)
-    counts: dict = {}
-    for a, b in zip(a_vals.tolist(), b_vals.tolist()):
-        counts[(a, b)] = counts.get((a, b), 0) + 1
-    weights = set(counts.values())
-    if len(weights) != 1:
+    x1, x2 = asg.vars[cx.x1], asg.vars[cx.x2]
+    pmf = _pmf(asg.seeds, [x1, x2])
+    if len(set(pmf.values())) != 1:
         raise WitnessError(f"{cx.path}: support pairs are not equally likely")
     left: dict = {}
     right: dict = {}
-    for a, b in counts:
+    for a, b in pmf:
         left.setdefault(a, []).append((a, b))
         right.setdefault(b, []).append((a, b))
     if any(len(es) != 2 for es in left.values()) or any(len(es) != 2 for es in right.values()):
         raise WitnessError(f"{cx.path}: characteristic graph is not 2-regular")
-    color: dict = {}
-    for start in sorted(counts):
-        if start in color:
+    color = np.zeros((x1.vmax + 1, x2.vmax + 1), dtype=np.int64)
+    seen: set = set()
+    for start in sorted(pmf):
+        if start in seen:
             continue
         edge, side, c = start, "right", 0
-        while edge not in color:
+        while edge not in seen:
+            seen.add(edge)
             color[edge] = c
             a, b = edge
             nxt = [e for e in (right[b] if side == "right" else left[a]) if e != edge][0]
             edge, side, c = nxt, ("left" if side == "right" else "right"), 1 - c
-    asg.derive(cx.u, [cx.x1, cx.x2], lambda a, b: color[(a, b)])
+    asg.derive(cx.u, [cx.x1, cx.x2], lambda a, b: color[a, b])
 
 
 def _assign_flip(asg: WitnessAssigner, fl: FlipIx) -> None:
-    atom_index = {atom: i for i, atom in enumerate(FLIP_ATOMS)}
+    names = (fl.f, fl.g1, fl.g2)
+    atom_index = np.full([max(asg.vars[n].vmax + 1, 2) for n in names], -1)
+    for i, atom in enumerate(FLIP_ATOMS):
+        atom_index[atom] = i
 
     def u_fn(f, g1, g2):
-        key = (f, g1, g2)
-        if key not in atom_index:
+        u = atom_index[f, g1, g2]
+        if (u < 0).any():
+            bad = int(np.argmax(u < 0))
+            key = tuple(int(np.broadcast_to(x, u.shape).flat[bad]) for x in (f, g1, g2))
             raise WitnessError(f"{fl.path}: combination {key} outside the flip support")
-        return atom_index[key]
+        return u
 
-    asg.derive(fl.u, [fl.f, fl.g1, fl.g2], u_fn)
+    asg.derive(fl.u, list(names), u_fn)
     z1_seed = asg.add_seed(f"{fl.path}.seedZ1", 3)
     z2_seed = asg.add_seed(f"{fl.path}.seedZ2", 3)
-    rank_g1_zero = {0: 0, 2: 1, 3: 2}  # atoms with g1 = 0
-    asg.derive(fl.z1, [fl.u], lambda u, r: rank_g1_zero[u] if u != 1 else r, extra_seeds=[z1_seed])
-    asg.derive(fl.z2, [fl.u], lambda u, r: u if u != 3 else r, extra_seeds=[z2_seed])
+    rank_g1_zero = np.array([0, 0, 1, 2])  # ranks of the atoms 0, 2, 3, which have g1 = 0
+    asg.derive(fl.z1, [fl.u], lambda u, r: np.where(u == 1, r, rank_g1_zero[u]),
+               extra_seeds=[z1_seed])
+    asg.derive(fl.z2, [fl.u], lambda u, r: np.where(u == 3, r, u), extra_seeds=[z2_seed])
+
+
+def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `keys`: its rank among the earlier rows equal to it, and their count."""
+    _, inv, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    inv = inv.reshape(-1)
+    rank = np.empty_like(inv)
+    rank[np.argsort(inv, kind="stable")] = np.arange(len(inv)) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    return rank, counts[inv]
 
 
 def _assign_sat(asg: WitnessAssigner, sat: SatIx) -> None:
@@ -341,10 +313,10 @@ def _assign_sat(asg: WitnessAssigner, sat: SatIx) -> None:
     """
     u = sat.u_size
     fvar = asg.vars[sat.f]
-    if len(fvar.seeds) != 1 or sorted(np.asarray(fvar.table).tolist()) != [0, 1]:
+    if len(fvar.seeds) != 1 or sorted(fvar.table.tolist()) != [0, 1]:
         raise WitnessError(f"{sat.path}: the coin must be a fair single-seed bit")
     fseed = fvar.seeds[0]
-    if not asg.seed_uniform(fseed):
+    if not asg.seeds[fseed].uniform:
         raise WitnessError(f"{sat.path}: the coin seed must be fair")
     sel = [sat.v[i - 1] for i in sat.s] + [sat.vb[i - 1] for i in sat.sbar]
     ctx = set(sat.evars) | set(sel)
@@ -352,96 +324,60 @@ def _assign_sat(asg: WitnessAssigner, sat: SatIx) -> None:
     for ev in sat.evars:
         if fseed in asg.vars[ev].seeds:
             raise WitnessError(f"{sat.path}: group variable {ev} depends on the coin seed")
-    if not all(asg.seed_uniform(sn) for sn in vseeds):
+    if not all(asg.seeds[sn].uniform for sn in vseeds):
         raise WitnessError(f"{sat.path}: group analysis requires uniform seeds")
 
-    def value_at(name, coord):
-        v = asg.vars[name]
-        idx = 0
-        for sn in v.seeds:
-            idx = idx * asg.sizes[sn] + coord[sn]
-        return int(v.table[idx])
+    # classify vertex atoms (row-major over vseeds) by group and selection pattern
+    order = vseeds + [fseed]
+    shape = [asg.seeds[sn].size for sn in order]
+    nv = math.prod(shape[:-1])
 
-    # classify vertex atoms
-    vertex_info = []  # (event, satflag, pattern)
-    ranges = [range(asg.sizes[sn]) for sn in vseeds]
-    f_of = {int(i): int(x) for i, x in enumerate(np.asarray(fvar.table))}
-    f1_coord = next(i for i, x in f_of.items() if x == 1)
-    f0_coord = next(i for i, x in f_of.items() if x == 0)
-    for atom in product(*ranges):
-        coord = dict(zip(vseeds, atom))
-        event = tuple(value_at(ev, coord) for ev in sat.evars)
-        coord[fseed] = f0_coord
-        if any(value_at(n, coord) != 0 for n in sel):
-            raise WitnessError(f"{sat.path}: selected observable nonzero when the coin is 0")
-        coord[fseed] = f1_coord
-        pattern = tuple(value_at(n, coord) for n in sel)
-        vertex_info.append((event, all(x == 0 for x in pattern), pattern))
+    def at_coin(names, coin: int) -> np.ndarray:  # (vertex, name) values with the coin at `coin`
+        c = fvar.table.tolist().index(coin)
+        cols = [np.broadcast_to(_broadcast_values(asg.seeds, asg.vars[n], order), shape)[..., c]
+                for n in names]
+        return np.array(cols, dtype=np.int64).reshape(len(names), nv).T
 
-    groups: dict = {}
-    for rank, (event, satflag, pattern) in enumerate(vertex_info):
-        groups.setdefault(event, []).append((rank, satflag, pattern))
-    stats = {}
-    refinements = []
-    for event, members in sorted(groups.items()):
-        lsize = len(members)
-        acount = sum(1 for _, sf, _ in members if sf)
-        num = u * acount
-        den = lsize + acount
-        if num % den:
-            raise WitnessRefusal(sat.path, u, event, lsize, acount)
-        m = num // den
-        sat_rank = {}
-        all_rank = {}
-        pat_rank: dict = {}
-        pat_count: dict = {}
-        for t, (rank, sf, pattern) in enumerate(members):
-            all_rank[rank] = t
-            if sf:
-                sat_rank[rank] = len(sat_rank)
-            elif any(pattern):
-                pat_rank[rank] = pat_count.get(pattern, 0)
-                pat_count[pattern] = pat_rank[rank] + 1
-        refinements.append(m // gcd(acount, m) if acount else 1)
-        refinements.append((u - m) // gcd(lsize, u - m))
-        for c in pat_count.values():
-            refinements.append(u // gcd(c, u))
-        stats[event] = (lsize, acount, m, sat_rank, all_rank, pat_rank, pat_count)
+    if at_coin(sel, 0).any():
+        raise WitnessError(f"{sat.path}: selected observable nonzero when the coin is 0")
+    pattern = at_coin(sel, 1)
+    satflag = ~pattern.any(axis=1)
+    events, group = np.unique(at_coin(sat.evars, 0), axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    lsize = np.bincount(group)
+    acount = np.bincount(group[satflag], minlength=len(lsize))
+    for event, lz, ac in zip(events.tolist(), lsize.tolist(), acount.tolist()):
+        if (u * ac) % (lz + ac):
+            raise WitnessRefusal(sat.path, u, tuple(event), lz, ac)
+    m = (u * acount // (lsize + acount))[group]
 
-    M = lcm(*refinements) if refinements else 1
-    base_order = sorted(vseeds + [fseed])
-    order = list(base_order)
+    # coin 0 spreads each group over the values m..u-1; coin 1 puts the
+    # selected vertices on 0..m-1 and each other pattern class on 0..u-1
+    rank0, count0 = _ranks(group[:, None])
+    rank1, count1 = _ranks(np.column_stack([group, pattern]))
+    width0, width1 = u - m, np.where(satflag, m, u)
+    step0, step1 = width0 // np.gcd(count0, width0), width1 // np.gcd(count1, width1)
+    M = int(np.lcm.reduce(np.concatenate([step0, step1])))
+    r = np.arange(M)
+
+    def block(rank, count, width, step, offset):  # (vertex, r) values
+        return offset + ((rank * step)[:, None] + r % step[:, None]) * width[:, None] // (
+            count * step)[:, None]
+
+    by_coin = {0: block(rank0, count0, width0, step0, m[:, None]),
+               1: block(rank1, count1, width1, step1, 0)}
+    table = np.stack([by_coin[x] for x in fvar.table.tolist()], axis=1)
+    base_order = sorted(order)
+    table = np.moveaxis(table.reshape(shape + [M]), len(vseeds), base_order.index(fseed))
     if M > 1:
-        order.append(asg.add_seed(f"{sat.path}.seedU", M))
-
-    def block_value(t: int, r: int, count: int, m: int, offset: int) -> int:
-        rr = m // gcd(count, m)
-        return offset + ((t * rr + r % rr) * m) // (count * rr)
-
-    table = []
-    vertex_index = {
-        atom: rank for rank, atom in enumerate(product(*ranges))
-    }
-    base_ranges = [range(asg.sizes[sn]) for sn in base_order]
-    for atom in product(*base_ranges):
-        coord = dict(zip(base_order, atom))
-        rank = vertex_index[tuple(coord[sn] for sn in vseeds)]
-        event, satflag, pattern = vertex_info[rank]
-        lsize, acount, m, sat_rank, all_rank, pat_rank, pat_count = stats[event]
-        fval = f_of[coord[fseed]]
-        for r in range(M):
-            if fval == 0:
-                val = block_value(all_rank[rank], r, lsize, u - m, m)
-            elif satflag:
-                val = block_value(sat_rank[rank], r, acount, m, 0)
-            else:
-                val = block_value(pat_rank[rank], r, pat_count[pattern], u, 0)
-            table.append(val)
-    asg.assign(sat.uvar, tuple(order), table)
+        base_order.append(asg.add_seed(f"{sat.path}.seedU", M))
+    asg.assign(sat.uvar, tuple(base_order), table.ravel())
 
 
 def _assign_unif_partner(asg: WitnessAssigner, ux: UnifIx) -> None:
-    size = asg.exact_uniform_range(ux.var)
+    size = _uniform_size(asg.seeds, asg.vars[ux.var])
+    if not size:
+        raise WitnessError(f"{ux.path}: {ux.var} is not exactly uniform over 0..n-1")
     if ux.card is not None and size != ux.card:
         raise WitnessError(f"{ux.path}: {ux.var} is uniform over {size} values, expected {ux.card}")
     seed = asg.add_seed(f"{ux.path}.seedP", size)
@@ -587,9 +523,8 @@ def verify(joint: FactoredJoint, system, tol: float = UNIT_TOL) -> VerificationR
     else:
         rows = list(system)
     report = VerificationReport(tolerance=tol)
-    cache: dict = {}
     for row in rows:
-        value = eval_expression(joint, row.lhs, cache=cache)
+        value = eval_expression(joint, row.lhs)
         rhs = float(row.rhs)
         residual = value - rhs
         if row.rel == REL_EQ:
@@ -716,13 +651,11 @@ def extend_witness_for_slack(joint: FactoredJoint, ge_system: SparseAffineSystem
     rationalized two-point seed the fractional part, so the slackified
     equality system verifies to well below usual tolerances.
     """
-    seeds = list(joint.seeds.values())
-    variables = list(joint.variables.values())
-    cache: dict = {}
+    seeds, variables = [], []
     for j, row in enumerate(ge_system.rows, start=1):
         if row.rel != REL_GE:
             raise WitnessError("slack extension expects a >=-form system")
-        surplus = eval_expression(joint, row.expr(), cache=cache) - float(row.rhs)
+        surplus = eval_expression(joint, row.expr()) - float(row.rhs)
         surplus = max(0.0, surplus)
         name = f"_slack{j}"
         whole = int(surplus)
@@ -740,4 +673,4 @@ def extend_witness_for_slack(joint: FactoredJoint, ge_system: SparseAffineSystem
         sizes = [2**whole] * bool(whole) + [2] * (fracpart > 1e-12)
         total = math.prod(sizes) if sizes else 1
         variables.append(Variable(name, tuple(refs), np.arange(total)))
-    return FactoredJoint(seeds, variables)
+    return joint.extend(seeds, variables)

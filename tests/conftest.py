@@ -11,12 +11,13 @@ import numpy as np
 from infotile.joint import FactoredJoint, Seed, Variable
 
 
-def brute_entropy(joint: FactoredJoint, names) -> float:
+def brute_pmf(joint: FactoredJoint, names) -> dict[tuple, Fraction]:
     """Oracle: full enumeration over ALL seeds with exact probabilities.
 
-    Independent of the lazy marginalization path (no seed-union pruning, no
-    numpy): accumulates the marginal pmf in a dict of Fractions and takes
-    logs at the end.
+    Independent of the engine (no seed-union pruning, no numpy): accumulates
+    the marginal pmf of the sorted names in a dict of Fractions, reading
+    each table cell by its row-major index.  Zero-probability atoms are
+    left out.
     """
     names = sorted(set(names))
     seeds = list(joint.seeds.values())
@@ -37,7 +38,12 @@ def brute_entropy(joint: FactoredJoint, names) -> float:
             key.append(int(v.table[idx]))
         key = tuple(key)
         pmf[key] = pmf.get(key, Fraction(0)) + p
-    return -sum(float(p) * math.log2(float(p)) for p in pmf.values() if p > 0)
+    return pmf
+
+
+def brute_entropy(joint: FactoredJoint, names) -> float:
+    """Oracle entropy in bits: logs taken only at the end of `brute_pmf`."""
+    return -sum(float(p) * math.log2(float(p)) for p in brute_pmf(joint, names).values() if p > 0)
 
 
 def random_probs(rng: random.Random, size: int) -> tuple[Fraction, ...]:

@@ -150,8 +150,25 @@ def test_emit_cli(tmp_path):
     assert doc["form"] == "cond-affine" and doc["role_var"] == "X1"
 
 
-def test_jobs_flag_does_not_change_output(workdir, tmp_path):
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.main(["compile", str(workdir / "mono.json"), "-o", str(out1)]) == 0
-    assert cli.main(["--jobs", "4", "compile", str(workdir / "mono.json"), "-o", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+@pytest.mark.parametrize("kind, text", [
+    ("compile", '{"tiles": 5}'),
+    ("compile", "[1, 2]"),
+    ("compile", '{"colors": 1, "tiles": [5]}'),
+    ("verify", "system"),
+])
+def test_wrong_kind_input_is_one_line_diagnostic(tmp_path, kind, text):
+    cs = instantiate_gadget(GadgetRef("UNIF_K", (("k", 2),)), ["X"])
+    sp = tmp_path / "sys.json"
+    sp.write_text(system_dumps(cs))
+    if kind == "compile":
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        proc = run_cli(["compile", bad])
+    else:
+        proc = run_cli(["verify", sp, sp])  # a system file where the joint belongs
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert ("tile set" if kind == "compile" else "factored joint") in lines[0]

@@ -1,17 +1,20 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from infotile.expressions import ci_expr
+from infotile import joint as joint_mod
 from infotile.joint import (
     FactoredJoint,
     Seed,
+    UnknownVariable,
     Variable,
+    _broadcast_values,
     binary_entropy,
     entropic_vector,
     eval_expression,
@@ -23,7 +26,7 @@ from infotile.joint import (
     uniform_seed,
 )
 
-from conftest import brute_entropy, random_joint
+from conftest import brute_entropy, brute_pmf, random_joint
 
 
 def two_fair_bits() -> FactoredJoint:
@@ -214,3 +217,91 @@ def test_binary_entropy():
 def test_duplicate_seed_reference_rejected():
     with pytest.raises(ValueError):
         Variable("X", ("a", "a"), np.array([0, 1, 1, 0]))
+
+
+def _variants(joint: FactoredJoint):
+    """The joint as drawn, with every seed made uniform, and with one seed
+    value made impossible (its mass moved to the next value)."""
+    seeds = list(joint.seeds.values())
+    variables = list(joint.variables.values())
+    yield joint
+    yield FactoredJoint([uniform_seed(s.name, s.size) for s in seeds], variables)
+    s0 = seeds[0]
+    probs = (Fraction(0), s0.probs[0] + s0.probs[1], *s0.probs[2:])
+    yield FactoredJoint([Seed(s0.name, s0.size, probs), *seeds[1:]], variables)
+
+
+@given(st.integers(0, 2_000))
+@settings(max_examples=60, deadline=None)
+def test_exact_marginal_matches_brute_pmf(seed):
+    rng = random.Random(seed)
+    for joint in _variants(random_joint(rng, max_seed_size=8)):
+        names = joint.var_names()
+        sub = [n for n in names if rng.random() < 0.7] or [names[0]]
+        assert exact_marginal(joint, sub) == brute_pmf(joint, sub)
+
+
+def test_exact_marginal_seedless_and_empty():
+    joint = FactoredJoint(
+        [Seed("s", 2, (Fraction(1, 3), Fraction(2, 3)))],
+        [Variable("C", (), np.array([4])), Variable("X", ("s",), np.array([0, 1]))],
+    )
+    assert exact_marginal(joint, ["C"]) == {(4,): Fraction(1)} == brute_pmf(joint, ["C"])
+    assert exact_marginal(joint, ["C", "X"]) == {(4, 0): Fraction(1, 3), (4, 1): Fraction(2, 3)}
+    assert exact_marginal(joint, []) == {(): Fraction(1)} == brute_pmf(joint, [])
+
+
+@given(st.integers(0, 2_000))
+@settings(max_examples=60, deadline=None)
+def test_layout_matches_per_atom_lookup(seed):
+    rng = random.Random(seed)
+    joint = random_joint(rng, max_seed_size=8)
+    order = list(joint.seeds)
+    rng.shuffle(order)
+    shape = [joint.seeds[sn].size for sn in order]
+    for v in joint.variables.values():
+        laid = np.broadcast_to(_broadcast_values(joint.seeds, v, order), shape)
+        for atom in product(*map(range, shape)):
+            coord = dict(zip(order, atom))
+            idx = 0
+            for sn in v.seeds:
+                idx = idx * joint.seeds[sn].size + coord[sn]
+            assert laid[atom] == v.table[idx]
+
+
+def test_exact_uniform_over_non_uniform_seeds():
+    # X = s mod 2 over a seed with weights 1/6, 1/3, 1/3, 1/6 is exactly fair
+    probs = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 3), Fraction(1, 6))
+    joint = FactoredJoint([Seed("s", 4, probs)], [Variable("X", ("s",), np.array([0, 1, 0, 1])),
+                                                  Variable("Y", ("s",), np.array([0, 0, 1, 1]))])
+    assert exact_uniform_over(joint, "X", 2)
+    assert exact_uniform_over(joint, "Y", 2)
+    assert not exact_uniform_over(joint, "X", 3)
+
+
+def test_table_is_read_only():
+    source = np.array([0, 1])
+    v = Variable("X", ("s",), source)
+    with pytest.raises(ValueError):
+        v.table[0] = 1
+    source[0] = 1  # the caller's array is not the table
+    assert v.table.tolist() == [0, 1]
+
+
+def test_extend_rejects_taken_names_and_keeps_memo(monkeypatch):
+    joint = two_fair_bits()
+    assert joint.entropy(["X", "Y"]) == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(ValueError):
+        joint.extend([], [Variable("X", ("a",), np.array([1, 0]))])
+    with pytest.raises(ValueError):
+        joint.extend([uniform_seed("a", 2)], [])
+    bigger = joint.extend([uniform_seed("c", 3)], [Variable("Z", ("c",), np.arange(3))])
+    assert bigger.entropy(["Z"]) == pytest.approx(math.log2(3), abs=1e-12)
+    with pytest.raises(UnknownVariable):
+        joint.entropy(["Z"])  # the parent's memo does not learn the child's entropies
+
+    def no_recompute(j, names):
+        raise AssertionError(f"recomputed {sorted(names)}")
+
+    monkeypatch.setattr(joint_mod, "subset_entropy", no_recompute)
+    assert bigger.entropy(["Y", "X"]) == joint.entropy(["X", "Y"])

@@ -351,3 +351,28 @@ def test_witness_construction_deterministic():
 
     for name in a.variables:
         assert np.array_equal(a.var(name).table, b.var(name).table), name
+
+
+def test_each_subset_entropy_computed_once_per_witness(monkeypatch):
+    # verify, the slack extension and the slack verify share one memo
+    from collections import Counter
+
+    from infotile import joint as joint_mod
+    from infotile.compiler import flatten, slackify
+    from infotile.witness import extend_witness_for_slack
+
+    calls = Counter()
+    original = joint_mod.subset_entropy
+
+    def counted(joint, names):
+        calls[frozenset(names)] += 1
+        return original(joint, names)
+
+    monkeypatch.setattr(joint_mod, "subset_entropy", counted)
+    joint, cs = unit_flip()
+    assert verify(joint, cs, tol=1e-9).passed
+    sas = flatten(cs)
+    extended = extend_witness_for_slack(joint, sas)
+    assert verify(extended, slackify(sas), tol=1e-9).passed
+    assert calls and set(calls.values()) == {1}
+    assert any(n.startswith("_slack") for vs in calls for n in vs)
