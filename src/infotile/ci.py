@@ -87,6 +87,9 @@ def ci_to_obj(ci: CISystem) -> dict:
 
 
 def ci_from_obj(obj: dict) -> CISystem:
+    if not (isinstance(obj, dict) and isinstance(obj.get("vars"), list)
+            and isinstance(obj.get("relations"), list)):
+        raise CIError('not a CI system: expected {"vars": [...], "relations": [...]}')
     extras = obj.get("extras", {})
     target = None
     if "target" in obj:

@@ -33,9 +33,9 @@ def _emit_output(text: str, out: str | None) -> None:
 
 def _load_system(path: str):
     obj = json.loads(_read(path))
-    if "rows" in obj and "free" in obj:
+    if isinstance(obj, dict) and "rows" in obj and "free" in obj:
         return systems.system_from_obj(obj)
-    if "rows" in obj and "vars" in obj:
+    if isinstance(obj, dict) and "rows" in obj and "vars" in obj:
         return compiler.sas_from_obj(obj)
     raise DomainFailure(f"{path}: not a recognizable system file")
 
@@ -123,9 +123,9 @@ def cmd_binary_implication(args) -> int:
 
 def cmd_emit(args) -> int:
     obj = json.loads(_read(args.system))
-    if "relations" in obj:
+    if isinstance(obj, dict) and "relations" in obj:
         source = ci_mod.ci_from_obj(obj)
-    elif "free" in obj:
+    elif isinstance(obj, dict) and "free" in obj:
         source = systems.system_from_obj(obj)
     else:
         source = compiler.sas_from_obj(obj)

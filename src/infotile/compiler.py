@@ -203,6 +203,9 @@ def sas_to_obj(sas: SparseAffineSystem) -> dict:
 
 
 def sas_from_obj(obj: dict) -> SparseAffineSystem:
+    if not (isinstance(obj, dict) and isinstance(obj.get("vars"), list)
+            and isinstance(obj.get("rows"), list)):
+        raise ValueError('not a sparse system: expected {"vars": [...], "rows": [...]}')
     rows = []
     for r in obj["rows"]:
         expr = expr_from_obj(r["lhs"])

@@ -17,6 +17,7 @@ from .logbounds import LE23_CONSTANTS, pick_alpha, pick_log_bounds
 from .systems import ConstraintSystem, SystemError
 
 SAT_SEED_SIZES = {"ne_half": 2, "le_half": 3, "le_3_4": 105}
+SAT_NAMES = {"ne_half": "SAT_NEQ_HALF", "le_half": "SAT_LE_HALF", "le_3_4": "SAT_LE_3_4"}
 COL_WIDTH_CAP = 13
 
 
@@ -265,7 +266,7 @@ class SystemBuilder:
         being exactly 1/2; 'le_half' bounds it by 1/2; 'le_3_4' by 3/4.
         """
         u_size = SAT_SEED_SIZES[kind]
-        self._count({"ne_half": "SAT_NEQ_HALF", "le_half": "SAT_LE_HALF", "le_3_4": "SAT_LE_3_4"}[kind])
+        self._count(SAT_NAMES[kind])
         k = len(w)
         s = tuple(sorted(s))
         sbar = tuple(sorted(sbar))
@@ -486,33 +487,9 @@ class GadgetRef:
         return dict(self.params)
 
 
-ARITY = {
-    "TRIPLE": "(Y1, Y2, Y3)",
-    "UNIF": "(X)",
-    "UNIF_K": "(X); k",
-    "CYCS": "(X1, X2)",
-    "TORI": "(X1, X2, Y1, Y2)",
-    "FLIP": "(F, G1, G2)",
-    "SW": "(W^k, V^k, Vbar^k, F); k",
-    "COL": "(W^k, V^k, Vbar^k, F); k",
-    "COLD": "(X^m, W^k, V^k, Vbar^k, F); m, k",
-    "SAT_NEQ_HALF": "(E^m, W^k, V^k, Vbar^k, F); m, k, S, Sbar",
-    "SAT_LE_HALF": "(E^m, W^k, V^k, Vbar^k, F); m, k, S, Sbar",
-    "SAT_LE_3_4": "(E^m, W^k, V^k, Vbar^k, F); m, k, S, Sbar",
-    "CTORI": "(X1, X2, Y1, Y2, W^k, V^k, Vbar^k, F); k",
-    "OTORI": "(X1, X2, Y1, Y2, W^k, V^k, Vbar^k, F); k",
-    "TTORI": "(); tiles",
-    "UNIF_EQ": "(Y, Z)",
-    "PROD": "(Y1..Yl, G); l",
-    "POW": "(Y, G); k",
-    "GESQRT": "(Y, G)",
-    "LE": "(Y, Z)",
-    "UNIF_K_CI": "(Y); k",
-    "UNIF_LE2_LE3": "(Y)",
-    "RES3": "(Y1, Y2, Y3)",
-    "EQ": "(F, G)",
-    "EQRES": "(Y1, Z1, Y2, Z2)",
-}
+def _need(name: str, actuals, n: int):
+    if len(actuals) != n:
+        raise SystemError(f"{name} expects {n} actuals, got {len(actuals)}")
 
 
 def _split_blocks(actuals, k: int, lead: int):
@@ -527,98 +504,112 @@ def _split_blocks(actuals, k: int, lead: int):
     return e, w, v, vb, actuals[-1]
 
 
+# Every builder is called as build(builder, name, actuals, params, path).  It
+# may return a finished system; otherwise the builder's system is the result.
+
+
+def _fixed(n: int, method: str, *int_params: str):
+    """n actuals, then the named integer parameters, passed in order to `method`."""
+
+    def build(b, name, actuals, params, path):
+        _need(name, actuals, n)
+        getattr(b, method)(*actuals, *(int(params[p]) for p in int_params), path)
+
+    return build
+
+
+def _switched(lead, call):
+    """(E^lead, W^k, V^k, Vbar^k, F); `lead` is a count or the parameter holding it."""
+
+    def build(b, name, actuals, params, path):
+        k = int(params["k"])
+        n = lead if isinstance(lead, int) else int(params[lead])
+        e, *switches = _split_blocks(actuals, k, n)
+        call(b, e, switches, params, path)
+
+    return build
+
+
+def _unif_k(b, name, actuals, params, path):
+    _need(name, actuals, 1)
+    k = int(params["k"])
+    if k < 2:
+        raise SystemError("UNIF_K needs k >= 2")
+    b.unif(actuals[0], path, card=k)
+
+
+def _sat(kind: str):
+    def call(b, e, switches, params, path):
+        b.sat(kind, e, tuple(params.get("S", ())), tuple(params.get("Sbar", ())), *switches, path)
+
+    return call
+
+
+def _prod(b, name, actuals, params, path):
+    _need(name, actuals, int(params["l"]) + 1)
+    b.prod(list(actuals[:-1]), actuals[-1], path)
+
+
+def _ttori(b, name, actuals, params, path):
+    from .compiler import compile_ttori  # late import: compiler drives this
+    from .tiling import TileSet
+
+    _need(name, actuals, 0)
+    return compile_ttori(TileSet.from_obj(params["tiles"]))
+
+
+_SWITCHES = "W^k, V^k, Vbar^k, F"
+
+# gadget name -> (arity text, builder)
+CATALOG = {
+    "TRIPLE": ("(Y1, Y2, Y3)", _fixed(3, "triple")),
+    "UNIF": ("(X)", _fixed(1, "unif")),
+    "UNIF_K": ("(X); k", _unif_k),
+    "CYCS": ("(X1, X2)", _fixed(2, "cycs")),
+    "TORI": ("(X1, X2, Y1, Y2)", _fixed(4, "tori")),
+    "FLIP": ("(F, G1, G2)", _fixed(3, "flip")),
+    "SW": (f"({_SWITCHES}); k", _switched(0, lambda b, e, sw, p, path: b.sw(*sw, path))),
+    "COL": (f"({_SWITCHES}); k", _switched(0, lambda b, e, sw, p, path: b.col(*sw, path))),
+    "COLD": (
+        f"(X^m, {_SWITCHES}); m, k",
+        _switched("m", lambda b, x, sw, p, path: b.cold(x, *sw, path)),
+    ),
+    **{
+        name: (f"(E^m, {_SWITCHES}); m, k, S, Sbar", _switched("m", _sat(kind)))
+        for kind, name in SAT_NAMES.items()
+    },
+    "CTORI": (
+        f"(X1, X2, Y1, Y2, {_SWITCHES}); k",
+        _switched(4, lambda b, e, sw, p, path: b.ctori(e[:2], e[2:], *sw, path)),
+    ),
+    "OTORI": (
+        f"(X1, X2, Y1, Y2, {_SWITCHES}); k",
+        _switched(4, lambda b, e, sw, p, path: b.otori(e[:2], e[2:], *sw, path)),
+    ),
+    "TTORI": ("(); tiles", _ttori),
+    "UNIF_EQ": ("(Y, Z)", _fixed(2, "unif_eq")),
+    "PROD": ("(Y1..Yl, G); l", _prod),
+    "POW": ("(Y, G); k", _fixed(2, "pow", "k")),
+    "GESQRT": ("(Y, G)", _fixed(2, "gesqrt")),
+    "LE": ("(Y, Z)", _fixed(2, "le")),
+    "UNIF_K_CI": ("(Y); k", _fixed(1, "unif_k_ci", "k")),
+    "UNIF_LE2_LE3": ("(Y)", _fixed(1, "unif_le2_le3")),
+    "RES3": ("(Y1, Y2, Y3)", _fixed(3, "res3")),
+    "EQ": ("(F, G)", _fixed(2, "eq")),
+    "EQRES": ("(Y1, Z1, Y2, Z2)", _fixed(4, "eqres")),
+}
+
+ARITY = {name: arity for name, (arity, _) in CATALOG.items()}
+
+
 def instantiate_gadget(ref: GadgetRef, actuals: list[str]) -> ConstraintSystem:
     """Instantiate a catalog gadget over the given actual variable names.
 
     Internal existential variables get deterministic dotted names, so the
     same reference and actuals always produce byte-identical systems.
     """
-    name = ref.name
-    params = ref.params_dict()
-    if name not in ARITY:
-        raise SystemError(f"unknown gadget {name!r}")
+    if ref.name not in CATALOG:
+        raise SystemError(f"unknown gadget {ref.name!r}")
     b = SystemBuilder(actuals)
-    path = name.lower()
-
-    def need(n):
-        if len(actuals) != n:
-            raise SystemError(f"{name} expects {n} actuals, got {len(actuals)}")
-
-    if name == "TRIPLE":
-        need(3)
-        b.triple(*actuals, path)
-    elif name == "UNIF":
-        need(1)
-        b.unif(actuals[0], path)
-    elif name == "UNIF_K":
-        need(1)
-        k = int(params["k"])
-        if k < 2:
-            raise SystemError("UNIF_K needs k >= 2")
-        b.unif(actuals[0], path, card=k)
-    elif name == "CYCS":
-        need(2)
-        b.cycs(actuals[0], actuals[1], path)
-    elif name == "TORI":
-        need(4)
-        b.tori(*actuals, path)
-    elif name == "FLIP":
-        need(3)
-        b.flip(*actuals, path)
-    elif name in ("SW", "COL"):
-        k = int(params["k"])
-        _, w, v, vb, f = _split_blocks(actuals, k, 0)
-        getattr(b, name.lower())(w, v, vb, f, path)
-    elif name == "COLD":
-        k = int(params["k"])
-        m = int(params["m"])
-        x, w, v, vb, f = _split_blocks(actuals, k, m)
-        b.cold(x, w, v, vb, f, path)
-    elif name in ("SAT_NEQ_HALF", "SAT_LE_HALF", "SAT_LE_3_4"):
-        k = int(params["k"])
-        m = int(params["m"])
-        kind = {"SAT_NEQ_HALF": "ne_half", "SAT_LE_HALF": "le_half", "SAT_LE_3_4": "le_3_4"}[name]
-        e, w, v, vb, f = _split_blocks(actuals, k, m)
-        b.sat(kind, e, tuple(params.get("S", ())), tuple(params.get("Sbar", ())), w, v, vb, f, path)
-    elif name in ("CTORI", "OTORI"):
-        k = int(params["k"])
-        e, w, v, vb, f = _split_blocks(actuals, k, 4)
-        getattr(b, name.lower())(e[:2], e[2:], w, v, vb, f, path)
-    elif name == "TTORI":
-        from .compiler import compile_ttori  # late import: compiler drives this
-        from .tiling import TileSet
-
-        need(0)
-        return compile_ttori(TileSet.from_obj(params["tiles"]))
-    elif name == "UNIF_EQ":
-        need(2)
-        b.unif_eq(actuals[0], actuals[1], path)
-    elif name == "PROD":
-        l = int(params["l"])
-        need(l + 1)
-        b.prod(list(actuals[:-1]), actuals[-1], path)
-    elif name == "POW":
-        need(2)
-        b.pow(actuals[0], actuals[1], int(params["k"]), path)
-    elif name == "GESQRT":
-        need(2)
-        b.gesqrt(actuals[0], actuals[1], path)
-    elif name == "LE":
-        need(2)
-        b.le(actuals[0], actuals[1], path)
-    elif name == "UNIF_K_CI":
-        need(1)
-        b.unif_k_ci(actuals[0], int(params["k"]), path)
-    elif name == "UNIF_LE2_LE3":
-        need(1)
-        b.unif_le2_le3(actuals[0], path)
-    elif name == "RES3":
-        need(3)
-        b.res3(*actuals, path)
-    elif name == "EQ":
-        need(2)
-        b.eq(actuals[0], actuals[1], path)
-    elif name == "EQRES":
-        need(4)
-        b.eqres(*actuals, path)
-    return b.system()
+    built = CATALOG[ref.name][1](b, ref.name, actuals, ref.params_dict(), ref.name.lower())
+    return b.system() if built is None else built

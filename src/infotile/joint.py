@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,13 +41,22 @@ class Seed:
     def __post_init__(self):
         if self.size < 1 or len(self.probs) != self.size:
             raise ValueError(f"seed {self.name}: bad size/probs length")
-        probs = tuple(frac(p) for p in self.probs)
-        if any(p < 0 for p in probs):
+        # Check each distinct value once.  A uniform seed repeats one value,
+        # which `count` matches in C (by identity when the repeats are one
+        # object, as `uniform_seed` makes them), so it is converted once.
+        first = self.probs[0]
+        if self.probs.count(first) == self.size:
+            probs = (frac(first),) * self.size
+            counts = {probs[0]: self.size}
+        else:
+            probs = tuple(map(frac, self.probs))
+            counts = Counter(probs)
+        if any(p < 0 for p in counts):
             raise ValueError(f"seed {self.name}: negative probability")
-        if sum(probs) != 1:
+        if sum(p * n for p, n in counts.items()) != 1:
             raise ValueError(f"seed {self.name}: probabilities must sum to 1 exactly")
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_uniform", all(p == Fraction(1, self.size) for p in probs))
+        object.__setattr__(self, "_uniform", len(counts) == 1)
 
     @property
     def uniform(self) -> bool:
@@ -54,7 +64,7 @@ class Seed:
 
 
 def uniform_seed(name: str, size: int) -> Seed:
-    return Seed(name, size, tuple(Fraction(1, size) for _ in range(size)))
+    return Seed(name, size, (Fraction(1, size),) * size)
 
 
 @dataclass(frozen=True)

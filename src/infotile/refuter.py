@@ -1,11 +1,14 @@
 """Shannon outer-bound feasibility by exact rational phase-1 simplex.
 
-A system is REFUTED when the polyhedron {elemental inequalities + system
-rows} is empty; the refuter then returns dual multipliers that replay to an
-exact contradiction (a nonnegative combination of the rows summing to the
-zero vector with a positive right-hand side).  Anything else is UNKNOWN:
-Shannon-type reasoning is incomplete, so feasibility of the linear program
-never certifies satisfiability.
+The rows are the elemental inequalities (Yeung 1997) plus the system's own
+`expr_i >= rhs_i` rows, over one free entropy column per variable subset.
+By Farkas' lemma they have no solution exactly when some y >= 0 satisfies
+sum_i y_i expr_i = 0 and sum_i y_i rhs_i = 1.  The simplex solves for that
+y directly.  If it exists the system is REFUTED and y is the certificate,
+normalized to prove 0 >= 1; every certificate is replayed exactly before it
+is returned.  Otherwise the answer is UNKNOWN: Shannon-type reasoning is
+incomplete, so feasibility of the outer bound never certifies
+satisfiability.
 
 No floating point is used anywhere in this module.
 """
@@ -83,82 +86,49 @@ def _phase1_feasible(rows):
     """Feasibility of {expr_i >= rhs_i} over free column variables.
 
     rows: list of (tag, {col: Fraction}, Fraction rhs).  Returns
-    (feasible, certificate) where the certificate is the Farkas dual:
-    y >= 0 with sum_i y_i row_i = 0 and sum_i y_i rhs_i > 0.
+    (feasible, certificate), the certificate being the Farkas multipliers y.
 
-    Implementation: standard phase-1 simplex with Bland's rule on the
-    tableau (free variables split into positive and negative parts, one
-    surplus and one artificial column per row), all in Fractions.
+    Phase 1 runs on the Farkas system itself: y >= 0 (one entry per row),
+    sum_i y_i a_ic = 0 for every column c, and sum_i y_i rhs_i = 1.  Each
+    equation starts with an artificial basic variable; every right-hand side
+    is 0 or 1, so that start is feasible as it stands.  An artificial that
+    leaves the basis is never needed again, so artificial columns are not
+    stored: the basis records them as indices >= m.  Bland's rule, all in
+    Fractions.
     """
     cols = sorted({c for _, coeffs, _ in rows for c in coeffs}, key=varset_key)
     cidx = {c: i for i, c in enumerate(cols)}
     m = len(rows)
-    nf = len(cols)
-    # columns: x+ (nf), x- (nf), surplus (m), artificial (m)
-    width = 2 * nf + 2 * m
-    tab = []
-    signs = []
-    for r, (tag, coeffs, rhs) in enumerate(rows):
-        row = [Fraction(0)] * (width + 1)
-        sign = 1 if rhs >= 0 else -1
-        signs.append(sign)
+    zero = Fraction(0)
+    tab = [[zero] * (m + 1) for _ in range(len(cols) + 1)]
+    for i, (_, coeffs, rhs) in enumerate(rows):
         for c, val in coeffs.items():
-            row[cidx[c]] = sign * val
-            row[nf + cidx[c]] = -sign * val
-        row[2 * nf + r] = Fraction(-sign)  # surplus: expr - s = rhs
-        row[2 * nf + m + r] = Fraction(1)  # artificial (identity after signing)
-        row[width] = sign * rhs
-        tab.append(row)
-    basis = [2 * nf + m + r for r in range(m)]
-    # objective: minimize sum of artificials; reduced costs z_j - c_j
-    obj = [Fraction(0)] * (width + 1)
-    for r in range(m):
-        for j in range(width + 1):
-            obj[j] += tab[r][j]
-    for r in range(m):
-        obj[2 * nf + m + r] -= Fraction(1)  # c_j = 1 on artificials
+            tab[cidx[c]][i] = val
+        tab[-1][i] = rhs
+    tab[-1][m] = Fraction(1)
+    basis = [m + r for r in range(len(tab))]
+    # reduced costs of minimizing the sum of the artificials
+    obj = [sum(col, zero) for col in zip(*tab)]
 
-    def pivot(pr: int, pc: int):
-        piv = tab[pr][pc]
-        inv = Fraction(1) / piv
-        tab[pr] = [x * inv for x in tab[pr]]
-        for r in range(m):
-            if r != pr and tab[r][pc] != 0:
-                factor = tab[r][pc]
-                tab[r] = [a - factor * b for a, b in zip(tab[r], tab[pr])]
-        if obj[pc] != 0:
-            factor = obj[pc]
-            for j in range(width + 1):
-                obj[j] -= factor * tab[pr][j]
-        basis[pr] = pc
-
-    while True:
-        pc = next((j for j in range(width) if obj[j] > 0), None)  # Bland: smallest index
+    while obj[m] != 0:
+        pc = next((j for j in range(m) if obj[j] > 0), None)  # Bland: smallest index
         if pc is None:
-            break
-        pr = None
-        for r in range(m):
-            if tab[r][pc] > 0:
-                if pr is None:
-                    pr = r
-                else:
-                    cur = tab[r][width] / tab[r][pc]
-                    best = tab[pr][width] / tab[pr][pc]
-                    if cur < best or (cur == best and basis[r] < basis[pr]):
-                        pr = r
-        if pr is None:
-            raise RefuterError("phase-1 objective unbounded; malformed tableau")
-        pivot(pr, pc)
-
-    if obj[width] == 0:
-        return True, None
-    # infeasible: extract the dual y from the artificial columns,
-    # y_r = sign_r * (reduced cost of artificial r + 1)
-    cert = []
-    for r in range(m):
-        red = obj[2 * nf + m + r] + 1  # z_j (c_j = 1 was subtracted)
-        y = signs[r] * red
-        cert.append(y)
+            return True, None
+        # Bland's leaving rule: least ratio, ties to the smallest basic index.
+        # Some row always qualifies: the objective is bounded below by 0.
+        pr = min((r for r, row in enumerate(tab) if row[pc] > 0),
+                 key=lambda r: (tab[r][m] / tab[r][pc], basis[r]))
+        inv = 1 / tab[pr][pc]
+        prow = tab[pr] = [x * inv for x in tab[pr]]
+        for row in (*tab[:pr], *tab[pr + 1 :], obj):
+            factor = row[pc]
+            if factor != 0:
+                row[:] = [a - factor * b for a, b in zip(row, prow)]
+        basis[pr] = pc
+    cert = [zero] * m
+    for r, j in enumerate(basis):
+        if j < m:
+            cert[j] = tab[r][m]
     return False, cert
 
 
@@ -189,9 +159,7 @@ def refute(sas: SparseAffineSystem, variables: list[str] | None = None) -> LPOut
     feasible, cert = _phase1_feasible(rows)
     if feasible:
         return LPOutcome(UNKNOWN)
-    certificate = [
-        (rows[i][0], y) for i, y in enumerate(cert) if y != 0
-    ]
+    certificate = [(rows[i][0], y) for i, y in enumerate(cert) if y != 0]
     replay_certificate(rows, certificate)
     return LPOutcome(REFUTED, certificate)
 

@@ -176,6 +176,10 @@ def system_to_obj(cs: ConstraintSystem) -> dict:
 
 
 def system_from_obj(obj: dict) -> ConstraintSystem:
+    if not (isinstance(obj, dict)
+            and all(isinstance(obj.get(k), list) for k in ("free", "exists", "rows"))):
+        raise SystemError(
+            'not a constraint system: expected {"free": [...], "exists": [...], "rows": [...]}')
     return ConstraintSystem(
         list(obj["free"]),
         list(obj["exists"]),

@@ -76,6 +76,9 @@ class PeriodicTiling:
 
     @staticmethod
     def from_obj(obj: dict) -> "PeriodicTiling":
+        if not (isinstance(obj, dict) and "a" in obj and "b" in obj
+                and isinstance(obj.get("grid"), list)):
+            raise TilingError('not a periodic tiling: expected {"a": a, "b": b, "grid": [[...], ...]}')
         return PeriodicTiling(int(obj["a"]), int(obj["b"]), tuple(tuple(r) for r in obj["grid"]))
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from infotile import cli
-from infotile.compiler import compile_ttori, sas_loads
+from infotile.compiler import compile_ttori, flatten, sas_dumps, sas_loads
 from infotile.gadgets import GadgetRef, instantiate_gadget
 from infotile.systems import system_dumps
 from infotile.tiling import TileSet, tileset_dumps
@@ -150,25 +150,81 @@ def test_emit_cli(tmp_path):
     assert doc["form"] == "cond-affine" and doc["role_var"] == "X1"
 
 
+# the file kind each command names when handed the wrong one
+EXPECTED_KIND = {
+    "compile": "tile set",
+    "verify": "factored joint",
+    "flatten": "constraint system",
+    "slackify": "sparse system",
+    "refute": "sparse system",
+    "witness": "periodic tiling",
+    "disjointify": "CI system",
+}
+
+
 @pytest.mark.parametrize("kind, text", [
     ("compile", '{"tiles": 5}'),
     ("compile", "[1, 2]"),
     ("compile", '{"colors": 1, "tiles": [5]}'),
     ("verify", "system"),
+    ("flatten", "sparse"),
+    ("slackify", "system"),
+    ("refute", "system"),
+    ("refute", "tileset"),
+    ("witness", "system"),
+    ("disjointify", "system"),
 ])
 def test_wrong_kind_input_is_one_line_diagnostic(tmp_path, kind, text):
+    """For commands other than compile, `text` names the file kind handed over."""
     cs = instantiate_gadget(GadgetRef("UNIF_K", (("k", 2),)), ["X"])
-    sp = tmp_path / "sys.json"
-    sp.write_text(system_dumps(cs))
-    if kind == "compile":
-        bad = tmp_path / "bad.json"
-        bad.write_text(text)
-        proc = run_cli(["compile", bad])
-    else:
-        proc = run_cli(["verify", sp, sp])  # a system file where the joint belongs
+    files = {
+        "system": system_dumps(cs),
+        "sparse": sas_dumps(flatten(cs)),
+        "tileset": tileset_dumps(TileSet(1, ((1, 1, 1, 1),))),
+    }
+    files["bad"] = text if kind == "compile" else files[text]
+    for name, body in files.items():
+        (tmp_path / f"{name}.json").write_text(body)
+    bad, tiles = tmp_path / "bad.json", tmp_path / "tileset.json"
+    argv = {"verify": [bad, bad], "witness": [tiles, bad]}.get(kind, [bad])
+    proc = run_cli([kind, *argv])
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert ("tile set" if kind == "compile" else "factored joint") in lines[0]
+    assert EXPECTED_KIND[kind] in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "SCALAR"],
+    ["tile-search", "SCALAR", "--max-period", "1"],
+    ["witness", "TILES", "SCALAR"],
+    ["verify", "JOINT", "SCALAR"],
+    ["flatten", "SCALAR"],
+    ["slackify", "SCALAR"],
+    ["refute", "SCALAR"],
+    ["ci-only", "SCALAR"],
+    ["disjointify", "SCALAR"],
+    ["binary-implication", "SCALAR", "--r", "2"],
+    ["emit", "SCALAR", "--form", "boolean"],
+], ids=lambda argv: argv[0] + ("-system" if argv[1] == "JOINT" else ""))
+def test_scalar_json_input_is_one_line_diagnostic(tmp_path, capsys, argv):
+    from infotile.joint import FactoredJoint, Variable, joint_dumps, uniform_seed
+    import numpy as np
+
+    joint = FactoredJoint([uniform_seed("s", 2)], [Variable("X", ("s",), np.array([0, 1]))])
+    files = {
+        "SCALAR": "5",
+        "JOINT": joint_dumps(joint),
+        "TILES": tileset_dumps(TileSet(1, ((1, 1, 1, 1),))),
+    }
+    paths = {}
+    for key, text in files.items():
+        paths[key] = tmp_path / f"{key.lower()}.json"
+        paths[key].write_text(text)
+    assert cli.main([str(paths.get(a, a)) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

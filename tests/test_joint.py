@@ -189,8 +189,28 @@ def test_exact_marginal_and_uniformity():
 
 
 def test_seed_probability_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to 1"):
         Seed("s", 2, (Fraction(1, 2), Fraction(1, 3)))
+    with pytest.raises(ValueError, match="negative"):
+        Seed("s", 2, (Fraction(3, 2), Fraction(-1, 2)))  # sums to 1
+    with pytest.raises(ValueError, match="sum to 1"):
+        Seed("s", 3, (Fraction(1, 2),) * 3)  # one repeated object
+    with pytest.raises(ValueError, match="negative"):
+        Seed("s", 2, (Fraction(-1, 2),) * 2)
+    with pytest.raises(ValueError, match="length"):
+        Seed("s", 3, (Fraction(1, 2),) * 2)
+
+
+def test_seed_uniform_flag_and_exact_values():
+    assert uniform_seed("u", 5).uniform
+    assert uniform_seed("u", 5).probs == (Fraction(1, 5),) * 5
+    equal = Seed("s", 3, tuple(Fraction(1, 3) for _ in range(3)))  # equal, distinct objects
+    assert equal.uniform
+    mixed = Seed("s", 4, ("1/4", Fraction(1, 4), "1/4", 1 - Fraction(3, 4)))
+    assert mixed.uniform and mixed.probs == (Fraction(1, 4),) * 4
+    skewed = Seed("s", 3, ("1/2", "1/4", "1/4"))
+    assert not skewed.uniform
+    assert skewed.probs == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
 
 
 def test_table_length_validation():

@@ -31,6 +31,29 @@ def eq_system(entries):
     return flatten(ConstraintSystem(names, [], rows))
 
 
+def lp_rows(sas, variables=None):
+    """The rows `refute` checks: elemental inequalities plus the kept system rows."""
+    names = sorted(variables or sas.var_names)
+    rows = [(tag, dict(expr.terms), Fraction(0))
+            for tag, expr in elemental_inequalities(len(names), names)]
+    for r in sas.rows:
+        if all(vs <= set(names) for vs, _ in r.entries):
+            rows.append((r.tag, dict(r.entries), r.rhs))
+    return rows
+
+
+def assert_refuted(sas, variables=None):
+    """REFUTED, with a certificate that replays and is normalized to prove 0 >= 1."""
+    out = refute(sas, variables=variables)
+    assert out.status == REFUTED
+    rows = lp_rows(sas, variables)
+    replay_certificate(rows, out.certificate)
+    rhs = {tag: r for tag, _, r in rows}
+    assert len(rhs) == len(rows)
+    assert sum(m * rhs[tag] for tag, m in out.certificate) == 1
+    return out
+
+
 def test_elemental_counts():
     assert len(elemental_inequalities(1)) == 1
     assert len(elemental_inequalities(2)) == 3
@@ -51,16 +74,8 @@ def test_elemental_cap():
 
 def test_refute_submodularity_violation():
     sas = eq_system([(("X1",), "1/2"), (("X2",), 1), (("X1", "X2"), 2)])
-    out = refute(sas)
-    assert out.status == REFUTED
+    out = assert_refuted(sas)
     assert out.certificate
-    # replay by hand: rebuild the row map and recombine exactly
-    rows = []
-    for tag, expr in elemental_inequalities(2):
-        rows.append((tag, dict(expr.terms), Fraction(0)))
-    for r in sas.rows:
-        rows.append((r.tag, dict(r.entries), r.rhs))
-    replay_certificate(rows, out.certificate)
 
 
 def test_refute_single_entropy_unknown():
@@ -74,13 +89,12 @@ def test_refute_direct_contradiction():
         AffineConstraint(InfoExpr.entropy(["X1"]), REL_LE, Fraction(1, 2), "hi"),
     ]
     sas = flatten(ConstraintSystem(["X1"], [], rows))
-    out = refute(sas)
-    assert out.status == REFUTED
+    assert_refuted(sas)
 
 
 def test_certificate_multipliers_nonnegative_and_exact():
     sas = eq_system([(("X1",), "1/2"), (("X2",), 1), (("X1", "X2"), 2)])
-    out = refute(sas)
+    out = assert_refuted(sas)
     assert all(m > 0 for _, m in out.certificate)
     obj = json.loads(outcome_dumps(out))
     assert obj["status"] == "REFUTED"
@@ -174,5 +188,38 @@ def test_refutes_contradictory_cardinality_window():
 
     unif2 = instantiate_gadget(GadgetRef("UNIF_K", (("k", 2),)), ["X"])
     cap = ConstraintSystem(["X"], [], [bound_row("X", ">=", 2, "floor")])
-    out = refute(flatten(conjoin(unif2, cap)))
-    assert out.status == REFUTED
+    assert_refuted(flatten(conjoin(unif2, cap)))
+
+
+def window_system(names, vec, eps=Fraction(1, 10**5)):
+    """Rows H(S) in [vec[S] - eps, vec[S] + eps] for every nonempty subset S."""
+    rows = []
+    for sub, h in vec.items():
+        for rel, bound in ((REL_GE, h - eps), (REL_LE, h + eps)):
+            rows.append(AffineConstraint(InfoExpr.entropy(sub), rel, bound, f"{sorted(sub)}:{rel}"))
+    return flatten(ConstraintSystem(names, [], rows))
+
+
+def test_violated_elemental_inequality_is_refuted():
+    # an entropic vector stays UNKNOWN; pushing one elemental inequality
+    # below zero by a margin far above the windows' slack is REFUTED
+    rng = random.Random(5)
+    trials = 0
+    while trials < 12:
+        joint = random_joint(rng, max_vars=4)
+        names = joint.var_names()
+        if len(names) < 3:
+            continue
+        trials += 1
+        vec = {
+            sub: Fraction(h).limit_denominator(10**6)
+            for sub, h in entropic_vector(joint, names).entries.items()
+        }
+        assert refute(window_system(names, vec)).status == UNKNOWN, trials
+        tag, expr = rng.choice(elemental_inequalities(len(names), sorted(names)))
+        value = sum(c * vec[s] for s, c in expr.terms.items())
+        margin = Fraction(rng.randint(1, 50), 100)
+        lowered = rng.choice([s for s, c in expr.terms.items() if c < 0])
+        vec[lowered] += value + margin  # expr now evaluates to -margin
+        assert sum(c * vec[s] for s, c in expr.terms.items()) == -margin
+        assert_refuted(window_system(names, vec))
