@@ -333,22 +333,13 @@ def canonical_disjoint_extension(base_joint, base_vars: list[str], out: CISystem
     equality block to the shared base variable, which satisfies every emitted
     relation whenever the base joint satisfies the input relations.
     """
-    from .joint import FactoredJoint, Variable
+    from .joint import Variable
 
     n = out.meta["n_base"]
-    seeds = list(base_joint.seeds.values())
-    variables = list(base_joint.variables.values())
-
-    def clone(src: str, dst: str):
-        v = base_joint.var(src)
-        variables.append(Variable(dst, v.seeds, v.table))
-
-    for i in range(1, 3 * n + 1):
-        base = base_vars[(i - 1) % n]
-        clone(base, f"Y{i}")
-        clone(base, f"Z{i}")
-    for u1, u2, i in out.meta["eqres_aux"]:
-        base = base_vars[(i - 1) % n]
-        clone(base, u1)
-        clone(base, u2)
-    return FactoredJoint(seeds, variables)
+    pairs = [(i, f"{side}{i}") for i in range(1, 3 * n + 1) for side in "YZ"]
+    pairs += [(i, u) for u1, u2, i in out.meta["eqres_aux"] for u in (u1, u2)]
+    variables = []
+    for i, dst in pairs:
+        src = base_joint.var(base_vars[(i - 1) % n])
+        variables.append(Variable(dst, src.seeds, src.table))
+    return base_joint.extend([], variables)

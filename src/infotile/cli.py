@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check a witness against a system")
     sp.add_argument("joint")
     sp.add_argument("system")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=witness.UNIT_TOL)
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_verify)
 

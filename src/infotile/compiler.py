@@ -167,6 +167,11 @@ def flatten(cs: ConstraintSystem) -> SparseAffineSystem:
     return SparseAffineSystem(cs.all_vars(), rows)
 
 
+def slack_name(j: int) -> str:
+    """The slack variable of the j-th row (1-based) of a >=-form system."""
+    return f"_slack{j}"
+
+
 def slackify(sas: SparseAffineSystem) -> SparseAffineSystem:
     """Equality form: row_j >= rhs becomes row_j - H(S_j) = rhs, S_j fresh.
 
@@ -178,7 +183,7 @@ def slackify(sas: SparseAffineSystem) -> SparseAffineSystem:
     for j, r in enumerate(sas.rows, start=1):
         if r.rel != REL_GE:
             raise SystemError("slackify expects a >=-form system (run flatten first)")
-        slack = f"_slack{j}"
+        slack = slack_name(j)
         if slack in sas.var_names:
             raise SystemError(f"slack name {slack} already taken")
         names.append(slack)

@@ -28,10 +28,6 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def varset(names: Iterable[str]) -> VarSet:
-    return frozenset(names)
-
-
 def varset_key(vs: VarSet) -> tuple:
     """Canonical sort key for a VarSet (lexicographic on sorted names)."""
     return tuple(sorted(vs))

@@ -72,9 +72,9 @@ class Variable:
     """A deterministic map from a tuple of seed values to a finite value.
 
     `table` is row-major over the product of the referenced seeds, with the
-    last referenced seed varying fastest.  It is read-only, so entropies
-    memoized by a joint never go stale; a writable array the caller still
-    holds is copied.
+    last referenced seed varying fastest.  Its values are integers in
+    [0, 2**32), stored as the narrowest of uint8/uint16/uint32 in a fresh
+    read-only array, so entropies memoized by a joint never go stale.
     """
 
     name: str
@@ -82,29 +82,44 @@ class Variable:
     table: np.ndarray  # 1-d integer array
 
     def __post_init__(self):
-        arr = np.asarray(self.table)
-        if arr.ndim != 1:
-            raise ValueError(f"variable {self.name}: table must be flat")
+        try:
+            arr = np.asarray(self.table)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ValueError(f"variable {self.name}: table must be a flat sequence of integers")
+        lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+        if lo < 0 or hi >= 2**32:
+            raise ValueError(f"variable {self.name}: table values must lie in [0, 2**32)")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"variable {self.name}: duplicate seed reference")
-        if arr is self.table and arr.flags.writeable:
-            arr = arr.copy()
+        arr = arr.astype(np.min_scalar_type(hi))  # a copy: never the caller's memory
         arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        object.__setattr__(self, "vmax", int(arr.max()) if arr.size else 0)
+        object.__setattr__(self, "vmax", hi)
 
 
 class FactoredJoint:
     """A joint distribution in seed/table form, with its subset entropies memoized."""
 
-    def __init__(self, seeds: list[Seed], variables: list[Variable]):
-        self.seeds = {}
+    def __init__(self, seeds: list[Seed] = (), variables: list[Variable] = ()):
+        self.seeds: dict[str, Seed] = {}
+        self.variables: dict[str, Variable] = {}
+        self._entropies: dict[frozenset, float] = {}
+        self.add(seeds, variables)
+
+    def add(self, seeds: list[Seed] = (), variables: list[Variable] = ()) -> None:
+        """Admit new seeds, then new variables; every name must be new.
+
+        The one admission path of a joint: each item is checked before it is
+        admitted.  No memoized entropy goes stale, because the old variables
+        keep their names and read-only tables.
+        """
         for s in seeds:
             if s.name in self.seeds:
                 raise ValueError(f"duplicate seed {s.name}")
             self.seeds[s.name] = s
-        self.variables = {}
         for v in variables:
             if v.name in self.variables:
                 raise ValueError(f"duplicate variable {v.name}")
@@ -118,16 +133,17 @@ class FactoredJoint:
                     f"variable {v.name}: table length {len(v.table)} != product {expected}"
                 )
             self.variables[v.name] = v
-        self._entropies: dict[frozenset, float] = {}
 
     def extend(self, seeds: list[Seed], variables: list[Variable]) -> FactoredJoint:
-        """This joint plus new seeds and variables, whose names must be new.
+        """A new joint: this one plus new seeds and variables, whose names must be new.
 
-        The old variables are unchanged, so the extension starts from a copy
-        of this joint's entropy memo.
+        This joint is unchanged; the extension starts from copies of its
+        dicts and entropy memo.
         """
-        out = FactoredJoint([*self.seeds.values(), *seeds], [*self.variables.values(), *variables])
+        out = FactoredJoint()
+        out.seeds, out.variables = dict(self.seeds), dict(self.variables)
         out._entropies = dict(self._entropies)
+        out.add(seeds, variables)
         return out
 
     def entropy(self, names) -> float:
@@ -344,7 +360,7 @@ def joint_to_obj(joint: FactoredJoint) -> dict:
             for s in joint.seeds.values()
         ],
         "vars": [
-            {"name": v.name, "seeds": list(v.seeds), "table": [int(x) for x in v.table]}
+            {"name": v.name, "seeds": list(v.seeds), "table": v.table.tolist()}
             for v in joint.variables.values()
         ],
     }
@@ -359,14 +375,12 @@ def joint_from_obj(obj: dict) -> FactoredJoint:
             Seed(s["name"], int(s["size"]), tuple(Fraction(p) for p in s["probs"]))
             for s in obj["seeds"]
         ]
-        variables = []
-        for v in obj["vars"]:
-            table = np.asarray(v["table"], dtype=np.int64)
-            table.flags.writeable = False  # nobody else holds it: no copy needed
-            variables.append(Variable(v["name"], tuple(v["seeds"]), table))
+        variables = [Variable(v["name"], tuple(v["seeds"]), v["table"]) for v in obj["vars"]]
+        return FactoredJoint(seeds, variables)
+    except ValueError as exc:
+        raise ValueError(f"malformed factored joint: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed factored joint: {type(exc).__name__} {exc}") from None
-    return FactoredJoint(seeds, variables)
 
 
 def joint_dumps(joint: FactoredJoint) -> str:

@@ -31,7 +31,7 @@ from math import lcm
 
 import numpy as np
 
-from .compiler import SparseAffineSystem, compile_ttori_indexed
+from .compiler import SparseAffineSystem, compile_ttori_indexed, slack_name
 from .expressions import REL_EQ, REL_GE
 from .gadgets import BuildIndex, CycsIx, FlipIx, SatIx, SwIx, UnifIx, w_of_color
 from .joint import (FactoredJoint, Seed, Variable, _broadcast_values, _pmf, _product_shape,
@@ -42,7 +42,6 @@ from .tiling import PeriodicTiling, TileSet, validate_tiling
 FLIP_ATOMS = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 1))
 
 UNIT_TOL = 1e-9
-END_TO_END_TOL = 1e-6
 
 
 class WitnessError(ValueError):
@@ -174,45 +173,34 @@ def check_colored_tori(ts: TileSet, k: int, pos: ColoredTorus, neg: ColoredTorus
 
 
 class WitnessAssigner:
-    """Incrementally builds a FactoredJoint, seed by seed, table by table."""
+    """Builds one FactoredJoint seed by seed, table by table.
+
+    Every seed and variable goes through `FactoredJoint.add`, which holds
+    the checks; the methods here only make seeds and tables.
+    """
 
     def __init__(self):
-        self.seeds: dict[str, Seed] = {}
-        self.vars: dict[str, Variable] = {}
+        self.joint = FactoredJoint()
 
     def add_seed(self, name: str, size: int, probs=None) -> str:
-        if name in self.seeds:
-            raise WitnessError(f"duplicate seed {name}")
         seed = uniform_seed(name, size) if probs is None else Seed(name, size, tuple(probs))
-        self.seeds[name] = seed
+        self.joint.add([seed])
         return name
 
     def assign(self, name: str, refs, table) -> None:
-        if name in self.vars:
-            raise WitnessError(f"variable {name} assigned twice")
-        refs = tuple(refs)
-        for r in refs:
-            if r not in self.seeds:
-                raise WitnessError(f"variable {name} references unknown seed {r}")
-        arr = np.asarray(table, dtype=np.int64)
-        if arr.size and 0 <= int(arr.min()):
-            hi = int(arr.max())
-            if hi < 256:
-                arr = arr.astype(np.uint8)
-            elif hi < 65536:
-                arr = arr.astype(np.uint16)
-        self.vars[name] = Variable(name, refs, arr)
+        self.joint.add(variables=[Variable(name, tuple(refs), table)])
 
     def _tabulate(self, name: str, order: list[str], args: list[Variable], fn) -> None:
         """Assign `name` = fn(values of `args`) over the product of `order`.
 
         `fn` acts elementwise on the arrays `_broadcast_values` lays out; the
         table is row-major over `order`, last seed fastest."""
-        values = fn(*[_broadcast_values(self.seeds, v, order) for v in args])
-        self.assign(name, order, np.broadcast_to(values, _product_shape(self.seeds, order)).ravel())
+        seeds = self.joint.seeds
+        values = fn(*[_broadcast_values(seeds, v, order) for v in args])
+        self.assign(name, order, np.broadcast_to(values, _product_shape(seeds, order)).ravel())
 
     def _coordinate(self, seed: str) -> Variable:
-        return Variable(seed, (seed,), np.arange(self.seeds[seed].size))
+        return Variable(seed, (seed,), np.arange(self.joint.seeds[seed].size))
 
     def derive(self, name: str, inputs: list[str], fn, extra_seeds=()) -> None:
         """Assign `name` = fn(input values..., extra seed values...).
@@ -220,18 +208,15 @@ class WitnessAssigner:
         `fn` receives numpy arrays.  The table is row-major over the sorted
         union of the inputs' seeds with any extra seeds appended last
         (fastest)."""
-        order = sorted({sn for iv in inputs for sn in self.vars[iv].seeds}) + list(extra_seeds)
-        args = [self.vars[iv] for iv in inputs] + [self._coordinate(sn) for sn in extra_seeds]
-        self._tabulate(name, order, args, fn)
+        args = [self.joint.var(iv) for iv in inputs]
+        order = sorted({sn for v in args for sn in v.seeds}) + list(extra_seeds)
+        self._tabulate(name, order, args + [self._coordinate(sn) for sn in extra_seeds], fn)
 
     def derive_mod_sum(self, name: str, base_var: str, seed_name: str, size: int) -> None:
         """name = (base + seed) mod size; the standard third-leg table."""
-        v = self.vars[base_var]
+        v = self.joint.var(base_var)
         self._tabulate(name, [*v.seeds, seed_name], [v, self._coordinate(seed_name)],
                        lambda x, p: (x + p) % size)
-
-    def joint(self) -> FactoredJoint:
-        return FactoredJoint(list(self.seeds.values()), list(self.vars.values()))
 
 
 # --- index-driven auxiliary assignment ---
@@ -244,8 +229,8 @@ def _assign_sw(asg: WitnessAssigner, sw: SwIx) -> None:
 
 def _assign_cycs(asg: WitnessAssigner, cx: CycsIx) -> None:
     """Two-color the edges of the characteristic bipartite graph of (x1, x2)."""
-    x1, x2 = asg.vars[cx.x1], asg.vars[cx.x2]
-    pmf = _pmf(asg.seeds, [x1, x2])
+    x1, x2 = asg.joint.var(cx.x1), asg.joint.var(cx.x2)
+    pmf = _pmf(asg.joint.seeds, [x1, x2])
     if len(set(pmf.values())) != 1:
         raise WitnessError(f"{cx.path}: support pairs are not equally likely")
     left: dict = {}
@@ -272,7 +257,7 @@ def _assign_cycs(asg: WitnessAssigner, cx: CycsIx) -> None:
 
 def _assign_flip(asg: WitnessAssigner, fl: FlipIx) -> None:
     names = (fl.f, fl.g1, fl.g2)
-    atom_index = np.full([max(asg.vars[n].vmax + 1, 2) for n in names], -1)
+    atom_index = np.full([max(asg.joint.var(n).vmax + 1, 2) for n in names], -1)
     for i, atom in enumerate(FLIP_ATOMS):
         atom_index[atom] = i
 
@@ -312,29 +297,30 @@ def _assign_sat(asg: WitnessAssigner, sat: SatIx) -> None:
     coin=1 mass onto a block of seed values of exactly matching size.
     """
     u = sat.u_size
-    fvar = asg.vars[sat.f]
+    joint = asg.joint
+    fvar = joint.var(sat.f)
     if len(fvar.seeds) != 1 or sorted(fvar.table.tolist()) != [0, 1]:
         raise WitnessError(f"{sat.path}: the coin must be a fair single-seed bit")
     fseed = fvar.seeds[0]
-    if not asg.seeds[fseed].uniform:
+    if not joint.seeds[fseed].uniform:
         raise WitnessError(f"{sat.path}: the coin seed must be fair")
     sel = [sat.v[i - 1] for i in sat.s] + [sat.vb[i - 1] for i in sat.sbar]
     ctx = set(sat.evars) | set(sel)
-    vseeds = sorted({sn for n in ctx for sn in asg.vars[n].seeds} - {fseed})
+    vseeds = sorted({sn for n in ctx for sn in joint.var(n).seeds} - {fseed})
     for ev in sat.evars:
-        if fseed in asg.vars[ev].seeds:
+        if fseed in joint.var(ev).seeds:
             raise WitnessError(f"{sat.path}: group variable {ev} depends on the coin seed")
-    if not all(asg.seeds[sn].uniform for sn in vseeds):
+    if not all(joint.seeds[sn].uniform for sn in vseeds):
         raise WitnessError(f"{sat.path}: group analysis requires uniform seeds")
 
     # classify vertex atoms (row-major over vseeds) by group and selection pattern
     order = vseeds + [fseed]
-    shape = [asg.seeds[sn].size for sn in order]
+    shape = [joint.seeds[sn].size for sn in order]
     nv = math.prod(shape[:-1])
 
     def at_coin(names, coin: int) -> np.ndarray:  # (vertex, name) values with the coin at `coin`
         c = fvar.table.tolist().index(coin)
-        cols = [np.broadcast_to(_broadcast_values(asg.seeds, asg.vars[n], order), shape)[..., c]
+        cols = [np.broadcast_to(_broadcast_values(joint.seeds, joint.var(n), order), shape)[..., c]
                 for n in names]
         return np.array(cols, dtype=np.int64).reshape(len(names), nv).T
 
@@ -375,7 +361,7 @@ def _assign_sat(asg: WitnessAssigner, sat: SatIx) -> None:
 
 
 def _assign_unif_partner(asg: WitnessAssigner, ux: UnifIx) -> None:
-    size = _uniform_size(asg.seeds, asg.vars[ux.var])
+    size = _uniform_size(asg.joint.seeds, asg.joint.var(ux.var))
     if not size:
         raise WitnessError(f"{ux.path}: {ux.var} is not exactly uniform over 0..n-1")
     if ux.card is not None and size != ux.card:
@@ -441,7 +427,7 @@ def build_witness(ts: TileSet, til: PeriodicTiling) -> FactoredJoint:
         asg.derive(lay.v[i], [lay.w[i], lay.f], lambda w, f: (1 - w) * f)
         asg.derive(lay.vb[i], [lay.w[i], lay.f], lambda w, f: w * f)
     assign_from_index(asg, index)
-    joint = asg.joint()
+    joint = asg.joint
     missing = set(cs.all_vars()) - set(joint.variables)
     if missing:
         raise WitnessError(f"roster mismatch: unassigned variables {sorted(missing)[:5]}")
@@ -558,7 +544,7 @@ def unit_triple(m: int = 3):
     asg.assign("Y1", (a,), np.arange(m))
     asg.assign("Y2", (b,), np.arange(m))
     asg.assign("Y3", (a, b), [(i + j) % m for i in range(m) for j in range(m)])
-    return asg.joint(), cs
+    return asg.joint, cs
 
 
 def unit_flip():
@@ -575,7 +561,7 @@ def unit_flip():
     asg.derive("G1", ["F"], lambda f, x: (1 - f) * x, extra_seeds=[bg])
     asg.derive("G2", ["F"], lambda f, x: f * x, extra_seeds=[cg])
     assign_from_index(asg, b.index)
-    return asg.joint(), b.system()
+    return asg.joint, b.system()
 
 
 def unit_sw(k: int = 4):
@@ -596,7 +582,7 @@ def unit_sw(k: int = 4):
         asg.derive(v[i], [w[i], "F"], lambda wv, f: (1 - wv) * f)
         asg.derive(vb[i], [w[i], "F"], lambda wv, f: wv * f)
     assign_from_index(asg, b.index)
-    return asg.joint(), b.system()
+    return asg.joint, b.system()
 
 
 def unit_sat(kind: str, k: int, groups: list[list[int]], s, sbar):
@@ -625,7 +611,7 @@ def unit_sat(kind: str, k: int, groups: list[list[int]], s, sbar):
         asg.derive(v[i], [w[i], "F"], lambda wv, f: (1 - wv) * f)
         asg.derive(vb[i], [w[i], "F"], lambda wv, f: wv * f)
     assign_from_index(asg, b.index)
-    return asg.joint(), b.system()
+    return asg.joint, b.system()
 
 
 # --- slack realization ---
@@ -657,20 +643,18 @@ def extend_witness_for_slack(joint: FactoredJoint, ge_system: SparseAffineSystem
             raise WitnessError("slack extension expects a >=-form system")
         surplus = eval_expression(joint, row.expr()) - float(row.rhs)
         surplus = max(0.0, surplus)
-        name = f"_slack{j}"
+        name = slack_name(j)
         whole = int(surplus)
         fracpart = surplus - whole
         if whole > 24:
             raise WitnessError(f"row {row.tag}: surplus {surplus} too large to realize")
-        refs = []
+        own = []
         if whole:
-            seeds.append(uniform_seed(f"{name}.dyadic", 2**whole))
-            refs.append(f"{name}.dyadic")
+            own.append(uniform_seed(f"{name}.dyadic", 2**whole))
         if fracpart > 1e-12:
             p = _solve_binary_entropy(fracpart)
-            seeds.append(Seed(f"{name}.bern", 2, (1 - p, p)))
-            refs.append(f"{name}.bern")
-        sizes = [2**whole] * bool(whole) + [2] * (fracpart > 1e-12)
-        total = math.prod(sizes) if sizes else 1
-        variables.append(Variable(name, tuple(refs), np.arange(total)))
+            own.append(Seed(f"{name}.bern", 2, (1 - p, p)))
+        seeds += own
+        total = math.prod(s.size for s in own)
+        variables.append(Variable(name, tuple(s.name for s in own), np.arange(total)))
     return joint.extend(seeds, variables)

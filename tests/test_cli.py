@@ -1,13 +1,15 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from infotile import cli
 from infotile.compiler import compile_ttori, flatten, sas_dumps, sas_loads
+from infotile.expressions import AffineConstraint, InfoExpr
 from infotile.gadgets import GadgetRef, instantiate_gadget
-from infotile.systems import system_dumps
+from infotile.systems import ConstraintSystem, system_dumps
 from infotile.tiling import TileSet, tileset_dumps
 
 
@@ -162,11 +164,20 @@ EXPECTED_KIND = {
 }
 
 
+# A joint whose true H(A,B) is log2 6 > 5/2 when B's table holds three distinct values
+PAIR_JOINT = ('{"seeds":[{"name":"s","size":2,"probs":["1/2","1/2"]},'
+              '{"name":"t","size":3,"probs":["1/3","1/3","1/3"]}],'
+              '"vars":[{"name":"A","seeds":["s"],"table":[0,1]},{"name":"B","seeds":["t"],"table":TABLE}]}')
+
+
 @pytest.mark.parametrize("kind, text", [
     ("compile", '{"tiles": 5}'),
     ("compile", "[1, 2]"),
     ("compile", '{"colors": 1, "tiles": [5]}'),
     ("verify", "system"),
+    ("verify", "[-1, 0, 1]"),
+    ("verify", "[0.5, 0, 1]"),
+    ("verify", f"[{2**70}, 0, 1]"),
     ("flatten", "sparse"),
     ("slackify", "system"),
     ("refute", "system"),
@@ -175,18 +186,26 @@ EXPECTED_KIND = {
     ("disjointify", "system"),
 ])
 def test_wrong_kind_input_is_one_line_diagnostic(tmp_path, kind, text):
-    """For commands other than compile, `text` names the file kind handed over."""
+    """For commands other than compile, `text` names the file kind handed over,
+    or is the table of B in `PAIR_JOINT`, verified against H(A,B) >= 5/2."""
     cs = instantiate_gadget(GadgetRef("UNIF_K", (("k", 2),)), ["X"])
     files = {
         "system": system_dumps(cs),
         "sparse": sas_dumps(flatten(cs)),
         "tileset": tileset_dumps(TileSet(1, ((1, 1, 1, 1),))),
+        "pair": system_dumps(ConstraintSystem(["A", "B"], [], [
+            AffineConstraint(InfoExpr.entropy(["A", "B"]), ">=", Fraction(5, 2), "pair")])),
     }
-    files["bad"] = text if kind == "compile" else files[text]
+    if kind == "compile":
+        files["bad"] = text
+    elif text.startswith("["):
+        files["bad"] = PAIR_JOINT.replace("TABLE", text)
+    else:
+        files["bad"] = files[text]
     for name, body in files.items():
         (tmp_path / f"{name}.json").write_text(body)
     bad, tiles = tmp_path / "bad.json", tmp_path / "tileset.json"
-    argv = {"verify": [bad, bad], "witness": [tiles, bad]}.get(kind, [bad])
+    argv = {"verify": [bad, tmp_path / "pair.json"], "witness": [tiles, bad]}.get(kind, [bad])
     proc = run_cli([kind, *argv])
     assert proc.returncode == 1
     assert proc.stdout == ""

@@ -219,13 +219,20 @@ def test_table_length_validation():
 
 
 def test_json_round_trip():
-    joint = flip_triple_pmf()
-    text = joint_dumps(joint)
-    back = joint_loads(text)
-    assert joint_dumps(back) == text
-    assert subset_entropy(back, ["F", "G1"]) == pytest.approx(
-        subset_entropy(joint, ["F", "G1"]), abs=0
-    )
+    from infotile.witness import unit_flip, unit_sat
+
+    rng = random.Random(7)
+    joints = [flip_triple_pmf(), unit_flip()[0],
+              unit_sat("ne_half", 9, [[1, 2], [-3, -4]], (9,), ())[0],
+              *(relabel_wide(rng, random_joint(rng))[0] for _ in range(5))]
+    for joint in joints:
+        text = joint_dumps(joint)
+        back = joint_loads(text)
+        assert joint_dumps(back) == text
+        assert [v.table.dtype for v in back.variables.values()] == \
+            [v.table.dtype for v in joint.variables.values()]
+        names = joint.var_names()[:2]
+        assert subset_entropy(back, names) == subset_entropy(joint, names)
 
 
 def test_binary_entropy():
@@ -306,6 +313,85 @@ def test_table_is_read_only():
         v.table[0] = 1
     source[0] = 1  # the caller's array is not the table
     assert v.table.tolist() == [0, 1]
+    view = source[:]
+    view.flags.writeable = False  # read-only, but writable through `source`
+    v = Variable("X", ("s",), view)
+    source[0] = 0
+    assert v.table.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("table", [
+    [-1, 0, 1],
+    [0.5, 0, 1],
+    [2**70, 0, 1],
+    np.array([2**32, 0, 1]),
+    np.array([2**40, 0, 1], dtype=np.uint64),
+    [True, False, True],
+    ["0", "1", "2"],
+    np.array([0, 1, 2], dtype=object),
+    [[0, 1], [1, 0]],
+    [[0, 1], [1]],
+], ids=["negative", "float", "huge", "2**32", "uint64", "bool", "str", "object", "2-d", "ragged"])
+def test_table_contract_rejects(table):
+    with pytest.raises(ValueError, match="variable Q:"):
+        Variable("Q", ("s",), table)
+
+
+@pytest.mark.parametrize("hi, dtype", [
+    (0, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16),
+    (65536, np.uint32), (2**32 - 1, np.uint32),
+])
+def test_table_stored_narrowest(hi, dtype):
+    for table in ([hi, 0], np.array([hi, 0], dtype=np.uint64), np.array([hi, 0], dtype=np.int64)):
+        v = Variable("X", ("s",), table)
+        assert v.table.dtype == dtype and v.table.tolist() == [hi, 0] and v.vmax == hi
+
+
+def test_add_checks_each_item_and_keeps_memo():
+    joint = two_fair_bits()
+    assert joint.entropy(["X", "Y"]) == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(ValueError, match="duplicate seed a"):
+        joint.add([uniform_seed("a", 2)])
+    with pytest.raises(ValueError, match="duplicate variable X"):
+        joint.add([], [Variable("X", ("a",), np.arange(2))])
+    with pytest.raises(ValueError, match="unknown seed c"):
+        joint.add([], [Variable("Z", ("c",), np.arange(3))])
+    with pytest.raises(ValueError, match="Z: table length 2 != product 3"):
+        joint.add([uniform_seed("c", 3)], [Variable("Z", ("c",), np.arange(2))])
+    assert joint.var_names() == ["X", "Y"]
+    joint.add([], [Variable("Z", ("c",), np.arange(3))])
+    assert joint.entropy(["Z", "X"]) == pytest.approx(1 + math.log2(3), abs=1e-12)
+    assert joint.entropy(["Y", "X"]) == pytest.approx(2.0, abs=1e-12)
+
+
+def relabel_wide(rng: random.Random, joint: FactoredJoint):
+    """`joint` with each variable's values sent through a random injective map
+    into [0, 2**w), w drawn from 8, 16 and 32; returns the joint and the maps."""
+    maps, variables = {}, []
+    for v in joint.variables.values():
+        width = rng.choice([8, 16, 32])
+        values = sorted(set(v.table.tolist()))
+        maps[v.name] = dict(zip(values, rng.sample(range(2**width), len(values))))
+        table = np.array([maps[v.name][x] for x in v.table.tolist()], dtype=np.int64)
+        variables.append(Variable(v.name, v.seeds, table))
+    return FactoredJoint(list(joint.seeds.values()), variables), maps
+
+
+def test_wide_relabelling_keeps_entropies_and_marginals():
+    rng = random.Random(20261018)
+    dtypes = set()
+    for _ in range(40):
+        joint = random_joint(rng, max_seed_size=8)
+        wide, maps = relabel_wide(rng, joint)
+        dtypes |= {v.table.dtype for v in wide.variables.values()}
+        names = joint.var_names()
+        for r in range(1, len(names) + 1):
+            for sub in combinations(names, r):
+                assert wide.entropy(sub) == pytest.approx(joint.entropy(sub), abs=1e-12)
+                relabelled = {tuple(maps[n][x] for n, x in zip(sorted(sub), key)): p
+                              for key, p in brute_pmf(joint, sub).items()}
+                assert exact_marginal(wide, sub) == relabelled == brute_pmf(wide, sub)
+    assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)}
 
 
 def test_extend_rejects_taken_names_and_keeps_memo(monkeypatch):
