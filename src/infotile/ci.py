@@ -341,5 +341,5 @@ def canonical_disjoint_extension(base_joint, base_vars: list[str], out: CISystem
     variables = []
     for i, dst in pairs:
         src = base_joint.var(base_vars[(i - 1) % n])
-        variables.append(Variable(dst, src.seeds, src.table))
+        variables.append(Variable(dst, src.seeds, src.table, src.inputs))
     return base_joint.extend([], variables)

@@ -178,13 +178,13 @@ def slackify(sas: SparseAffineSystem) -> SparseAffineSystem:
     Satisfiable iff the input is: a slack variable absorbs exactly the row's
     surplus entropy.
     """
-    names = list(sas.var_names)
+    names, taken = list(sas.var_names), set(sas.var_names)
     rows = []
     for j, r in enumerate(sas.rows, start=1):
         if r.rel != REL_GE:
             raise SystemError("slackify expects a >=-form system (run flatten first)")
         slack = slack_name(j)
-        if slack in sas.var_names:
+        if slack in taken:
             raise SystemError(f"slack name {slack} already taken")
         names.append(slack)
         expr = r.expr() - InfoExpr.entropy([slack])

@@ -2,11 +2,14 @@
 
 A FactoredJoint is a list of independent finite seed components (each with an
 exact rational probability vector) plus, per variable, a deterministic lookup
-table over the product of the seed components it references.  Marginal
-entropies are computed lazily: only the union of the seeds referenced by the
-queried variables is enumerated, and each subset's entropy once per joint.
-Every enumeration (entropies, exact marginals, witness tables) lays tables
-out over a seed product through `_broadcast_values`.
+table.  A base variable's table is over the product of the seeds it
+references; a derived variable's table is over the values of other
+variables (its inputs) and then its own seeds.  Marginal entropies are
+computed lazily: only the seeds of the queried variables' input closure
+are enumerated, block by block where they fall into groups that share no
+seed, and each subset's entropy once per joint.  Every enumeration
+(entropies, exact marginals, witness tables) lays tables out over a seed
+product through `_broadcast_values`.
 
 Probabilities stay exact rationals; only logarithms are floating point.
 Entropies are in bits.
@@ -69,10 +72,12 @@ def uniform_seed(name: str, size: int) -> Seed:
 
 @dataclass(frozen=True)
 class Variable:
-    """A deterministic map from a tuple of seed values to a finite value.
+    """A deterministic map from input values and seed values to a finite value.
 
-    `table` is row-major over the product of the referenced seeds, with the
-    last referenced seed varying fastest.  Its values are integers in
+    `table` is row-major over the values of the `inputs` (other variables,
+    `vmax + 1` values each), then over the product of the referenced seeds,
+    with the last seed varying fastest.  A variable with inputs is derived;
+    one without is a base variable.  Table values are integers in
     [0, 2**32), stored as the narrowest of uint8/uint16/uint32 in a fresh
     read-only array, so entropies memoized by a joint never go stale.
     """
@@ -80,6 +85,7 @@ class Variable:
     name: str
     seeds: tuple[str, ...]
     table: np.ndarray  # 1-d integer array
+    inputs: tuple[str, ...] = ()
 
     def __post_init__(self):
         try:
@@ -93,10 +99,13 @@ class Variable:
             raise ValueError(f"variable {self.name}: table values must lie in [0, 2**32)")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"variable {self.name}: duplicate seed reference")
+        if len(set(self.inputs)) != len(self.inputs):
+            raise ValueError(f"variable {self.name}: duplicate input")
         arr = arr.astype(np.min_scalar_type(hi))  # a copy: never the caller's memory
         arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "vmax", hi)
 
 
@@ -113,8 +122,10 @@ class FactoredJoint:
         """Admit new seeds, then new variables; every name must be new.
 
         The one admission path of a joint: each item is checked before it is
-        admitted.  No memoized entropy goes stale, because the old variables
-        keep their names and read-only tables.
+        admitted.  A derived variable's inputs must be admitted before it, so
+        variables never read each other in a cycle.  No memoized entropy goes
+        stale, because the old variables keep their names and read-only
+        tables.
         """
         for s in seeds:
             if s.name in self.seeds:
@@ -124,6 +135,10 @@ class FactoredJoint:
             if v.name in self.variables:
                 raise ValueError(f"duplicate variable {v.name}")
             expected = 1
+            for name in v.inputs:
+                if name not in self.variables:
+                    raise ValueError(f"variable {v.name} reads unknown variable {name}")
+                expected *= self.variables[name].vmax + 1
             for sn in v.seeds:
                 if sn not in self.seeds:
                     raise ValueError(f"variable {v.name} references unknown seed {sn}")
@@ -163,11 +178,8 @@ class FactoredJoint:
         return list(self.variables)
 
     def referenced_seeds(self, names) -> list[str]:
-        """Union of the seeds referenced by `names`, in canonical (sorted) order."""
-        out = set()
-        for n in names:
-            out.update(self.var(n).seeds)
-        return sorted(out)
+        """The seeds read by `names` and their input closure, in canonical (sorted) order."""
+        return sorted({sn for v in _closure(self, names) for sn in v.seeds})
 
     def atoms_for(self, names) -> int:
         total = 1
@@ -179,8 +191,24 @@ class FactoredJoint:
 # --- evaluation engine ---
 
 
+def _closure(joint: FactoredJoint, names) -> list[Variable]:
+    """The named variables and every variable they read, each after its inputs."""
+    out: dict[str, Variable] = {}
+
+    def visit(name):
+        if name not in out:
+            v = joint.var(name)
+            for n in v.inputs:
+                visit(n)
+            out[name] = v
+
+    for name in names:
+        visit(name)
+    return list(out.values())
+
+
 def _broadcast_values(seeds: dict[str, Seed], v: Variable, order) -> np.ndarray:
-    """Values of `v` shaped for broadcasting over the seeds in `order`.
+    """Values of the base variable `v` shaped for broadcasting over the seeds in `order`.
 
     The one place a table is laid out over a seed product.  The table is
     reshaped to the variable's own seed axes, transposed into `order`
@@ -201,53 +229,182 @@ def _broadcast_values(seeds: dict[str, Seed], v: Variable, order) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def _coordinate(seed: Seed) -> Variable:
+    """The seed's own value, as a base variable."""
+    return Variable(seed.name, (seed.name,), np.arange(seed.size))
+
+
+def _lookup(joint: FactoredJoint, v: Variable, args) -> np.ndarray:
+    """Values of the derived `v` from arrays of its inputs' values, then its seeds' values."""
+    radices = [joint.variables[n].vmax + 1 for n in v.inputs]
+    radices += [joint.seeds[sn].size for sn in v.seeds]
+    index = 0
+    for values, radix in zip(args, radices):
+        index = index * radix + values
+    return np.asarray(v.table[index], dtype=np.int64)
+
+
+def _on_seeds(joint: FactoredJoint, v: Variable, order) -> np.ndarray:
+    """Values of any variable over the seeds in `order`, which must hold its closure's seeds."""
+    if not v.inputs:
+        return _broadcast_values(joint.seeds, v, order)
+    args = [*map(joint.var, v.inputs), *(_coordinate(joint.seeds[sn]) for sn in v.seeds)]
+    return _lookup(joint, v, [_on_seeds(joint, a, order) for a in args])
+
+
 def _product_shape(seeds: dict[str, Seed], order) -> list[int]:
     return [seeds[sn].size for sn in order] or [1]
 
 
-def _codes(seeds: dict[str, Seed], variables: list[Variable], order) -> np.ndarray:
-    """One integer per atom of the product over `order`, row-major.
+def _atom_probs(seeds: dict[str, Seed], order) -> np.ndarray:
+    """The float probability of each atom of the product over `order`, for broadcasting."""
+    weights = np.ones((1,) * len(order), dtype=np.float64)
+    for i, sn in enumerate(order):
+        pvec = np.array([float(p) for p in seeds[sn].probs])
+        shape = [1] * len(order)
+        shape[i] = seeds[sn].size
+        weights = weights * pvec.reshape(shape)
+    return weights
 
-    Atoms get equal codes iff every variable agrees on them.  Codes are
+
+def _codes(columns, radices, shape) -> tuple[np.ndarray, int]:
+    """One integer per cell of a frame, row-major, and a bound on the codes.
+
+    `columns` are value arrays broadcastable to `shape`, each below its
+    radix.  Cells get equal codes iff every column agrees on them, and codes
+    follow the lexicographic order of the column values.  Codes are
     compressed stepwise so they never overflow.
     """
-    codes, span = np.zeros((1,) * max(len(order), 1), dtype=np.int64), 1
-    for v in variables:
-        if span * (v.vmax + 1) > 2**62:
+    codes, span = np.zeros((1,) * len(shape), dtype=np.int64), 1
+    for values, radix in zip(columns, radices):
+        if span * radix > 2**62:
             codes = np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
             span = int(codes.max()) + 1
-        vals = _broadcast_values(seeds, v, order)
-        codes = vals if span == 1 else codes * (v.vmax + 1) + vals  # span 1: all codes are 0
-        span *= v.vmax + 1
-    return np.broadcast_to(codes, _product_shape(seeds, order)).ravel()
+        codes = values if span == 1 else codes * radix + values  # span 1: all codes are 0
+        span *= radix
+    return np.broadcast_to(codes, shape).ravel(), span
+
+
+def _totals(codes: np.ndarray, span: int, weights=None) -> np.ndarray:
+    """The total weight of each code that occurs, in code order.
+
+    Weights are per cell (None: each cell counts 1); codes of total 0 are
+    left out.  Counting is a `bincount` when the code span is at most the
+    number of cells, else a sort.
+    """
+    if span > codes.size:
+        if weights is None:
+            return np.unique(codes, return_counts=True)[1]
+        codes = np.unique(codes, return_inverse=True)[1]
+    total = np.bincount(codes, weights)
+    return total[total > 0]
+
+
+def _law(columns, radices, shape, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct value tuples of `columns` over a frame, in code order.
+
+    Returns the total weight of each tuple (as `_totals`) and the flat
+    index of one frame cell holding it.
+    """
+    codes, span = _codes(columns, radices, shape)
+    if span > codes.size:
+        codes = np.unique(codes, return_inverse=True)[1]
+        span = int(codes.max()) + 1
+    if weights is not None:
+        weights = np.broadcast_to(weights, shape).ravel()
+    total = np.bincount(codes, weights)
+    at = np.empty(span, dtype=np.intp)
+    at[codes] = np.arange(codes.size)  # any cell of a code will do: all agree on every column
+    keep = np.flatnonzero(total)
+    return total[keep], at[keep]
+
+
+def _pick(columns, shape, at) -> list[np.ndarray]:
+    """Each column's values at the flat frame cells `at`."""
+    index = np.unravel_index(at, shape)
+    return [np.broadcast_to(c, shape)[index] for c in columns]
+
+
+def _blocks(items: list[Variable]) -> list[tuple[list[str], list[int]]]:
+    """Group item indices into blocks that share no seed: (sorted seeds, indices) each."""
+    blocks: list[tuple[set, list]] = []
+    for i, v in enumerate(items):
+        seeds, members, rest = set(v.seeds), [i], []
+        for block in blocks:
+            if block[0] & seeds:
+                seeds |= block[0]
+                members += block[1]
+            else:
+                rest.append(block)
+        blocks = rest + [(seeds, members)]
+    return [(sorted(s), sorted(m)) for s, m in blocks]
+
+
+def _layout(joint: FactoredJoint, names, extra=(), probs=False):
+    """Values of `names`, then of the base variables `extra`, on one enumeration frame.
+
+    The items are the base variables of the names' input closure, one
+    coordinate per seed a derived variable reads, and `extra`; they fall
+    into blocks that share no seed.  With one block and no derived variable
+    the frame is that block's seed product.  Otherwise each block is
+    reduced to the law of its distinct value tuples, the frame is the
+    product of those laws, and derived values are read from their tables.
+
+    Returns the value arrays and the frame shape, plus the weight of each
+    frame cell, broadcastable to the shape: None when every cell is one
+    atom, else its atom count or, with `probs`, its probability.
+    """
+    closure = _closure(joint, names)
+    derived = [v for v in closure if v.inputs]
+    read = sorted({sn for v in derived for sn in v.seeds})
+    base = [v for v in closure if not v.inputs]
+    items = [*base, *(_coordinate(joint.seeds[sn]) for sn in read), *extra]
+    blocks = _blocks(items)
+    if len(blocks) <= 1 and not derived:
+        order = blocks[0][0] if blocks else []
+        cols = [_broadcast_values(joint.seeds, v, order) for v in items]
+        shape = _product_shape(joint.seeds, order)
+        weights = _atom_probs(joint.seeds, order) if probs else None
+    else:
+        cols, shape, weights = [None] * len(items), [], 1
+        for axis, (order, members) in enumerate(blocks):
+            block = [_broadcast_values(joint.seeds, items[i], order) for i in members]
+            block_shape = _product_shape(joint.seeds, order)
+            w, at = _law(block, [items[i].vmax + 1 for i in members], block_shape,
+                         _atom_probs(joint.seeds, order) if probs else None)
+            axes = [1] * len(blocks)
+            axes[axis] = len(w)
+            for i, values in zip(members, _pick(block, block_shape, at)):
+                cols[i] = values.reshape(axes)
+            shape.append(len(w))
+            weights = weights * w.reshape(axes)
+    values = {v.name: c for v, c in zip(base, cols)}
+    coords = dict(zip(read, cols[len(base):]))
+    for v in derived:
+        args = [*(values[n] for n in v.inputs), *(coords[sn] for sn in v.seeds)]
+        values[v.name] = _lookup(joint, v, args)
+    return [values[n] for n in names] + cols[len(items) - len(extra):], shape, weights
 
 
 def subset_entropy(joint: FactoredJoint, names) -> float:
     """Joint entropy H of the named variables, in bits.
 
-    Enumerates only the product of the union of referenced seed components.
-    This is the uncached computation; `FactoredJoint.entropy` memoizes it.
+    Enumerates only the seeds of the names' input closure, block-wise (see
+    `_layout`).  This is the uncached computation; `FactoredJoint.entropy`
+    memoizes it.
     """
     names = sorted(set(names))
     if not names:
         return 0.0
     order = joint.referenced_seeds(names)
-    codes = _codes(joint.seeds, [joint.var(n) for n in names], order)
-    total = codes.size
-    if all(joint.seeds[sn].uniform for sn in order):
-        _, counts = np.unique(codes, return_counts=True)
-        counts = counts.astype(np.float64)
+    uniform = all(joint.seeds[sn].uniform for sn in order)
+    cols, shape, weights = _layout(joint, names, probs=not uniform)
+    codes, span = _codes(cols, [joint.var(n).vmax + 1 for n in names], shape)
+    pm = _totals(codes, span, None if weights is None else np.broadcast_to(weights, shape).ravel())
+    if uniform:
+        total = math.prod(joint.seeds[sn].size for sn in order)
+        counts = pm.astype(np.float64)
         return math.log2(total) - float(np.dot(counts, np.log2(counts))) / total
-    weights = np.ones((1,) * len(order), dtype=np.float64)
-    for i, sn in enumerate(order):
-        pvec = np.array([float(p) for p in joint.seeds[sn].probs])
-        shape = [1] * len(order)
-        shape[i] = joint.seeds[sn].size
-        weights = weights * pvec.reshape(shape)
-    weights = weights.ravel()
-    _, inv = np.unique(codes, return_inverse=True)
-    pm = np.bincount(inv, weights=weights)
-    pm = pm[pm > 0]
     return float(-np.dot(pm, np.log2(pm)))
 
 
@@ -292,33 +449,32 @@ def entropic_vector(joint: FactoredJoint, names: list[str],
 # --- exact (rational) marginals, for uniformity and balance checks ---
 
 
-def _pmf(seeds: dict[str, Seed], variables: list[Variable]) -> dict[tuple, Fraction]:
-    """Exact law of a variable tuple: integer atom counts times exact seed weights.
+def _pmf(joint: FactoredJoint, names) -> dict[tuple, Fraction]:
+    """Exact law of the named variables: integer atom counts times exact seed weights.
 
     A uniform seed weighs every atom alike.  Each other seed joins the code
     as the index of its probability value, so the atoms counted under one
     code share one exact weight.  Zero-probability atoms are left out.
     """
-    order = sorted({sn for v in variables for sn in v.seeds})
+    order = joint.referenced_seeds(names)
+    if math.prod(joint.seeds[sn].size for sn in order) >= 2**53:
+        raise ValueError("too many atoms to count exactly in floating point")
     base, levels, classes = Fraction(1), [], []
     for sn in order:
-        seed = seeds[sn]
+        seed = joint.seeds[sn]
         if seed.uniform:
             base /= seed.size
             continue
         levels.append(sorted(set(seed.probs)))
         index = {p: i for i, p in enumerate(levels[-1])}
         classes.append(Variable(sn, (sn,), np.array([index[p] for p in seed.probs])))
-    codes = _codes(seeds, [*variables, *classes], order)
-    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-    shape = _product_shape(seeds, order)
-    at = np.unravel_index(first, shape)
-    columns = [np.broadcast_to(_broadcast_values(seeds, v, order), shape)[at].tolist()
-               for v in (*variables, *classes)]
+    cols, shape, weights = _layout(joint, names, classes)
+    radices = [v.vmax + 1 for v in (*map(joint.var, names), *classes)]
+    counts, at = _law(cols, radices, shape, weights)
     out: dict[tuple, Fraction] = {}
-    for count, *row in zip(counts.tolist(), *columns):
-        key, cls = tuple(row[:len(variables)]), row[len(variables):]
-        p = math.prod((lv[c] for lv, c in zip(levels, cls)), start=count * base)
+    for count, *row in zip(counts.tolist(), *(c.tolist() for c in _pick(cols, shape, at))):
+        key, cls = tuple(row[:len(names)]), row[len(names):]
+        p = math.prod((lv[c] for lv, c in zip(levels, cls)), start=int(count) * base)
         if p:
             out[key] = out.get(key, Fraction(0)) + p
     return out
@@ -326,12 +482,12 @@ def _pmf(seeds: dict[str, Seed], variables: list[Variable]) -> dict[tuple, Fract
 
 def exact_marginal(joint: FactoredJoint, names) -> dict[tuple, Fraction]:
     """Exact marginal pmf of the named variable tuple (sorted name order)."""
-    return _pmf(joint.seeds, [joint.var(n) for n in sorted(set(names))])
+    return _pmf(joint, sorted(set(names)))
 
 
-def _uniform_size(seeds: dict[str, Seed], v: Variable) -> int:
-    """n when `v` is exactly uniform over the values 0..n-1, else 0."""
-    pmf = _pmf(seeds, [v])
+def _uniform_size(joint: FactoredJoint, name: str) -> int:
+    """n when `name` is exactly uniform over the values 0..n-1, else 0."""
+    pmf = _pmf(joint, [name])
     n = len(pmf)
     uniform = set(pmf) == {(i,) for i in range(n)} and set(pmf.values()) == {Fraction(1, n)}
     return n if uniform else 0
@@ -339,7 +495,7 @@ def _uniform_size(seeds: dict[str, Seed], v: Variable) -> int:
 
 def exact_uniform_over(joint: FactoredJoint, name: str, size: int) -> bool:
     """True iff `name` is exactly uniform over the values 0..size-1."""
-    return _uniform_size(joint.seeds, joint.var(name)) == size
+    return _uniform_size(joint, name) == size
 
 
 def binary_entropy(t) -> float:
@@ -360,10 +516,19 @@ def joint_to_obj(joint: FactoredJoint) -> dict:
             for s in joint.seeds.values()
         ],
         "vars": [
-            {"name": v.name, "seeds": list(v.seeds), "table": v.table.tolist()}
+            {"name": v.name, **({"inputs": list(v.inputs)} if v.inputs else {}),
+             "seeds": list(v.seeds), "table": v.table.tolist()}
             for v in joint.variables.values()
         ],
     }
+
+
+def _names(v: dict, key: str, default=None) -> tuple[str, ...]:
+    """The list of names under `key` of a variable's object, checked."""
+    names = v[key] if default is None else v.get(key, default)
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"variable {v['name']}: {key} must be a list of names")
+    return tuple(names)
 
 
 def joint_from_obj(obj: dict) -> FactoredJoint:
@@ -371,11 +536,15 @@ def joint_from_obj(obj: dict) -> FactoredJoint:
             and isinstance(obj.get("vars"), list)):
         raise ValueError('not a factored joint: expected {"seeds": [...], "vars": [...]}')
     try:
-        seeds = [
-            Seed(s["name"], int(s["size"]), tuple(Fraction(p) for p in s["probs"]))
-            for s in obj["seeds"]
+        seeds = []
+        for s in obj["seeds"]:
+            if isinstance(s["size"], bool) or not isinstance(s["size"], int):
+                raise ValueError(f"seed {s['name']}: size must be an integer")
+            seeds.append(Seed(s["name"], s["size"], tuple(Fraction(p) for p in s["probs"])))
+        variables = [
+            Variable(v["name"], _names(v, "seeds"), v["table"], _names(v, "inputs", []))
+            for v in obj["vars"]
         ]
-        variables = [Variable(v["name"], tuple(v["seeds"]), v["table"]) for v in obj["vars"]]
         return FactoredJoint(seeds, variables)
     except ValueError as exc:
         raise ValueError(f"malformed factored joint: {exc}") from None

@@ -7,7 +7,7 @@ the compiled system a deterministic table over the seeds, driven by the
 compiler's build index:
 
   * uniform partners realize each three-way sum block by a fresh uniform
-    seed and a modular sum;
+    seed and a modular sum, derived from the base variable's value;
   * cycle-coloring auxiliaries two-color the edges of the characteristic
     bipartite graph;
   * flip auxiliaries index the four support atoms and split the residual
@@ -34,7 +34,7 @@ import numpy as np
 from .compiler import SparseAffineSystem, compile_ttori_indexed, slack_name
 from .expressions import REL_EQ, REL_GE
 from .gadgets import BuildIndex, CycsIx, FlipIx, SatIx, SwIx, UnifIx, w_of_color
-from .joint import (FactoredJoint, Seed, Variable, _broadcast_values, _pmf, _product_shape,
+from .joint import (FactoredJoint, Seed, Variable, _coordinate, _on_seeds, _pmf, _product_shape,
                     _uniform_size, binary_entropy, eval_expression, uniform_seed)
 from .systems import ConstraintSystem
 from .tiling import PeriodicTiling, TileSet, validate_tiling
@@ -190,33 +190,24 @@ class WitnessAssigner:
     def assign(self, name: str, refs, table) -> None:
         self.joint.add(variables=[Variable(name, tuple(refs), table)])
 
-    def _tabulate(self, name: str, order: list[str], args: list[Variable], fn) -> None:
-        """Assign `name` = fn(values of `args`) over the product of `order`.
-
-        `fn` acts elementwise on the arrays `_broadcast_values` lays out; the
-        table is row-major over `order`, last seed fastest."""
-        seeds = self.joint.seeds
-        values = fn(*[_broadcast_values(seeds, v, order) for v in args])
-        self.assign(name, order, np.broadcast_to(values, _product_shape(seeds, order)).ravel())
-
-    def _coordinate(self, seed: str) -> Variable:
-        return Variable(seed, (seed,), np.arange(self.joint.seeds[seed].size))
-
     def derive(self, name: str, inputs: list[str], fn, extra_seeds=()) -> None:
-        """Assign `name` = fn(input values..., extra seed values...).
+        """Assign `name` = fn(input values..., extra seed values...) as a base variable.
 
         `fn` receives numpy arrays.  The table is row-major over the sorted
-        union of the inputs' seeds with any extra seeds appended last
+        seeds of the inputs' closure with any extra seeds appended last
         (fastest)."""
-        args = [self.joint.var(iv) for iv in inputs]
-        order = sorted({sn for v in args for sn in v.seeds}) + list(extra_seeds)
-        self._tabulate(name, order, args + [self._coordinate(sn) for sn in extra_seeds], fn)
+        joint = self.joint
+        order = joint.referenced_seeds(inputs) + list(extra_seeds)
+        args = [*map(joint.var, inputs), *(_coordinate(joint.seeds[sn]) for sn in extra_seeds)]
+        values = fn(*(_on_seeds(joint, v, order) for v in args))
+        values = np.broadcast_to(values, _product_shape(joint.seeds, order))
+        self.assign(name, order, values.ravel())
 
     def derive_mod_sum(self, name: str, base_var: str, seed_name: str, size: int) -> None:
-        """name = (base + seed) mod size; the standard third-leg table."""
-        v = self.joint.var(base_var)
-        self._tabulate(name, [*v.seeds, seed_name], [v, self._coordinate(seed_name)],
-                       lambda x, p: (x + p) % size)
+        """name = (base + seed) mod size, derived from the base's value and the seed."""
+        x = np.arange(self.joint.var(base_var).vmax + 1)
+        table = (x[:, None] + np.arange(size)) % size
+        self.joint.add(variables=[Variable(name, (seed_name,), table.ravel(), (base_var,))])
 
 
 # --- index-driven auxiliary assignment ---
@@ -230,7 +221,7 @@ def _assign_sw(asg: WitnessAssigner, sw: SwIx) -> None:
 def _assign_cycs(asg: WitnessAssigner, cx: CycsIx) -> None:
     """Two-color the edges of the characteristic bipartite graph of (x1, x2)."""
     x1, x2 = asg.joint.var(cx.x1), asg.joint.var(cx.x2)
-    pmf = _pmf(asg.joint.seeds, [x1, x2])
+    pmf = _pmf(asg.joint, [cx.x1, cx.x2])
     if len(set(pmf.values())) != 1:
         raise WitnessError(f"{cx.path}: support pairs are not equally likely")
     left: dict = {}
@@ -299,16 +290,16 @@ def _assign_sat(asg: WitnessAssigner, sat: SatIx) -> None:
     u = sat.u_size
     joint = asg.joint
     fvar = joint.var(sat.f)
-    if len(fvar.seeds) != 1 or sorted(fvar.table.tolist()) != [0, 1]:
+    if fvar.inputs or len(fvar.seeds) != 1 or sorted(fvar.table.tolist()) != [0, 1]:
         raise WitnessError(f"{sat.path}: the coin must be a fair single-seed bit")
     fseed = fvar.seeds[0]
     if not joint.seeds[fseed].uniform:
         raise WitnessError(f"{sat.path}: the coin seed must be fair")
     sel = [sat.v[i - 1] for i in sat.s] + [sat.vb[i - 1] for i in sat.sbar]
     ctx = set(sat.evars) | set(sel)
-    vseeds = sorted({sn for n in ctx for sn in joint.var(n).seeds} - {fseed})
+    vseeds = [sn for sn in joint.referenced_seeds(ctx) if sn != fseed]
     for ev in sat.evars:
-        if fseed in joint.var(ev).seeds:
+        if fseed in joint.referenced_seeds([ev]):
             raise WitnessError(f"{sat.path}: group variable {ev} depends on the coin seed")
     if not all(joint.seeds[sn].uniform for sn in vseeds):
         raise WitnessError(f"{sat.path}: group analysis requires uniform seeds")
@@ -320,8 +311,7 @@ def _assign_sat(asg: WitnessAssigner, sat: SatIx) -> None:
 
     def at_coin(names, coin: int) -> np.ndarray:  # (vertex, name) values with the coin at `coin`
         c = fvar.table.tolist().index(coin)
-        cols = [np.broadcast_to(_broadcast_values(joint.seeds, joint.var(n), order), shape)[..., c]
-                for n in names]
+        cols = [np.broadcast_to(_on_seeds(joint, joint.var(n), order), shape)[..., c] for n in names]
         return np.array(cols, dtype=np.int64).reshape(len(names), nv).T
 
     if at_coin(sel, 0).any():
@@ -361,7 +351,7 @@ def _assign_sat(asg: WitnessAssigner, sat: SatIx) -> None:
 
 
 def _assign_unif_partner(asg: WitnessAssigner, ux: UnifIx) -> None:
-    size = _uniform_size(asg.joint.seeds, asg.joint.var(ux.var))
+    size = _uniform_size(asg.joint, ux.var)
     if not size:
         raise WitnessError(f"{ux.path}: {ux.var} is not exactly uniform over 0..n-1")
     if ux.card is not None and size != ux.card:

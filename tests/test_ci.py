@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -194,3 +195,23 @@ def test_end_to_end_on_compiled_subsystem():
     assert out.all_disjoint()
     assert out.binary_var == "Y1" and out.card_bound == 2
     assert out.target == (frozenset({"Y1"}), frozenset({"Z1"}), frozenset())
+
+
+def test_canonical_extension_keeps_derived_variables():
+    # B = A + P mod 3 is derived; every copy must keep its inputs and its entropies
+    base = FactoredJoint(
+        [uniform_seed("s", 3), uniform_seed("p", 3)],
+        [Variable("A", ("s",), np.array([0, 1, 2])), Variable("P", ("p",), np.array([0, 1, 2])),
+         Variable("B", ("p",), np.array([(a + b) % 3 for a in range(3) for b in range(3)]), ("A",))],
+    )
+    out = disjointify(FUNC_DEP)
+    ext = canonical_disjoint_extension(base, ["A", "B"], out)
+    source = {f"{side}{i}": ["A", "B"][(i - 1) % 2] for i in range(1, 7) for side in "YZ"}
+    source.update({u: ["A", "B"][(i - 1) % 2] for u1, u2, i in out.meta["eqres_aux"] for u in (u1, u2)})
+    assert set(source) == set(ext.variables) - set(base.variables)
+    assert all(ext.var(dst).inputs == base.var(src).inputs for dst, src in source.items())
+    names = sorted(source)
+    for r in (1, 2, 3):
+        for sub in combinations(names, r):
+            want = base.entropy({source[n] for n in sub} | {"P"})
+            assert ext.entropy([*sub, "P"]) == pytest.approx(want, abs=1e-12)

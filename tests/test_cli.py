@@ -170,6 +170,17 @@ PAIR_JOINT = ('{"seeds":[{"name":"s","size":2,"probs":["1/2","1/2"]},'
               '"vars":[{"name":"A","seeds":["s"],"table":[0,1]},{"name":"B","seeds":["t"],"table":TABLE}]}')
 
 
+# Edits of `PAIR_JOINT` with B's table [0, 1, 2]; read with `int`, each size
+# would be consistent with its seed's probabilities and tables
+BAD_JOINTS = {
+    "size 2.5": [('"size":2,', '"size":2.5,')],
+    "size true": [('"size":2,"probs":["1/2","1/2"]', '"size":true,"probs":["1"]'),
+                  ('"table":[0,1]', '"table":[0]')],
+    "inputs not a list": [('"name":"B",', '"name":"B","inputs":"A",')],
+    "inputs not names": [('"name":"B",', '"name":"B","inputs":[0],')],
+}
+
+
 @pytest.mark.parametrize("kind, text", [
     ("compile", '{"tiles": 5}'),
     ("compile", "[1, 2]"),
@@ -184,10 +195,12 @@ PAIR_JOINT = ('{"seeds":[{"name":"s","size":2,"probs":["1/2","1/2"]},'
     ("refute", "tileset"),
     ("witness", "system"),
     ("disjointify", "system"),
+    *(("verify", name) for name in BAD_JOINTS),
 ])
 def test_wrong_kind_input_is_one_line_diagnostic(tmp_path, kind, text):
     """For commands other than compile, `text` names the file kind handed over,
-    or is the table of B in `PAIR_JOINT`, verified against H(A,B) >= 5/2."""
+    or is the table of B in `PAIR_JOINT` or a `BAD_JOINTS` edit of it,
+    verified against H(A,B) >= 5/2."""
     cs = instantiate_gadget(GadgetRef("UNIF_K", (("k", 2),)), ["X"])
     files = {
         "system": system_dumps(cs),
@@ -200,6 +213,10 @@ def test_wrong_kind_input_is_one_line_diagnostic(tmp_path, kind, text):
         files["bad"] = text
     elif text.startswith("["):
         files["bad"] = PAIR_JOINT.replace("TABLE", text)
+    elif text in BAD_JOINTS:
+        files["bad"] = PAIR_JOINT.replace("TABLE", "[0, 1, 2]")
+        for edit in BAD_JOINTS[text]:
+            files["bad"] = files["bad"].replace(*edit)
     else:
         files["bad"] = files[text]
     for name, body in files.items():

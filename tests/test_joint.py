@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from infotile.joint import (
     UnknownVariable,
     Variable,
     _broadcast_values,
+    _on_seeds,
     binary_entropy,
     entropic_vector,
     eval_expression,
@@ -26,7 +28,7 @@ from infotile.joint import (
     uniform_seed,
 )
 
-from conftest import brute_entropy, brute_pmf, random_joint
+from conftest import atom_value, brute_entropy, brute_pmf, random_derived_joint, random_joint
 
 
 def two_fair_bits() -> FactoredJoint:
@@ -411,3 +413,149 @@ def test_extend_rejects_taken_names_and_keeps_memo(monkeypatch):
 
     monkeypatch.setattr(joint_mod, "subset_entropy", no_recompute)
     assert bigger.entropy(["Y", "X"]) == joint.entropy(["X", "Y"])
+
+
+# --- derived variables ---
+
+
+def partner_joint() -> FactoredJoint:
+    """X exactly uniform over 0..2 from a non-uniform seed, U1 over a skewed
+    fresh seed, and the derived partner U2 = X + U1 mod 3."""
+    s = Seed("s", 6, tuple(Fraction(n, 12) for n in (3, 1, 2, 2, 1, 3)))
+    p = Seed("p", 3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    return FactoredJoint([s, p], [
+        Variable("X", ("s",), [0, 0, 1, 1, 2, 2]),
+        Variable("U1", ("p",), [0, 1, 2]),
+        Variable("U2", ("p",), [(x + u) % 3 for x in range(3) for u in range(3)], ("X",)),
+    ])
+
+
+@given(st.integers(0, 2_000))
+@settings(max_examples=60, deadline=None)
+def test_derived_entropies_match_oracle(seed):
+    rng = random.Random(seed)
+    for joint in _variants(random_derived_joint(rng)):
+        names = joint.var_names()
+        for _ in range(3):
+            sub = rng.sample(names, rng.randint(1, len(names)))
+            assert subset_entropy(joint, sub) == pytest.approx(brute_entropy(joint, sub), abs=1e-12)
+
+
+@given(st.integers(0, 2_000))
+@settings(max_examples=40, deadline=None)
+def test_derived_exact_marginal_matches_brute_pmf(seed):
+    rng = random.Random(seed)
+    for joint in _variants(random_derived_joint(rng)):
+        names = joint.var_names()
+        sub = rng.sample(names, rng.randint(1, len(names)))
+        assert exact_marginal(joint, sub) == brute_pmf(joint, sub)
+
+
+def test_derived_layout_matches_per_atom_lookup():
+    rng = random.Random(5)
+    for _ in range(10):
+        joint = random_derived_joint(rng)
+        order = list(joint.seeds)
+        shape = [joint.seeds[sn].size for sn in order]
+        for v in joint.variables.values():
+            laid = np.broadcast_to(_on_seeds(joint, v, order), shape)
+            for atom in product(*map(range, shape)):
+                assert laid[atom] == atom_value(joint, v.name, dict(zip(order, atom)), {})
+
+
+def test_exact_uniform_over_derived_partner():
+    from infotile.witness import WitnessAssigner
+
+    joint = partner_joint()
+    assert exact_uniform_over(joint, "X", 3)
+    assert not exact_uniform_over(joint, "U1", 3)
+    assert exact_uniform_over(joint, "U2", 3)  # uniform X plus anything independent of it
+    h = math.log2(3) + joint.entropy(["U1"])  # any two of X, U1, U2 fix the third
+    for pair in (["X", "U1"], ["X", "U2"], ["U1", "U2"], ["X", "U1", "U2"]):
+        assert joint.entropy(pair) == pytest.approx(h, abs=1e-12)
+    asg = WitnessAssigner()
+    asg.joint.add(list(joint.seeds.values()), [joint.var("X"), joint.var("U1")])
+    asg.derive_mod_sum("U2", "X", "p", 3)
+    built = asg.joint.var("U2")
+    assert built.inputs == ("X",) and built.seeds == ("p",)
+    assert built.table.tolist() == joint.var("U2").table.tolist()
+    assert exact_uniform_over(asg.joint, "U2", 3)
+
+
+def test_add_rejects_bad_derived_variables():
+    joint = two_fair_bits()
+    with pytest.raises(ValueError, match="Z reads unknown variable Q"):
+        joint.add([], [Variable("Z", ("a",), np.arange(4), ("Q",))])
+    with pytest.raises(ValueError, match="Z reads unknown variable Z"):
+        joint.add([], [Variable("Z", ("a",), np.arange(4), ("Z",))])
+    with pytest.raises(ValueError, match="Z: table length 2 != product 4"):
+        joint.add([], [Variable("Z", ("a",), np.arange(2), ("X",))])
+    with pytest.raises(ValueError, match="Z: duplicate input"):
+        Variable("Z", (), np.arange(4), ("X", "X"))
+    assert joint.var_names() == ["X", "Y"]
+    joint.add([], [Variable("Z", ("a",), [0, 1, 1, 0], ("X",))])  # X xor a, and X is a
+    assert joint.entropy(["Z"]) == 0.0
+    assert joint.atoms_for(["Z"]) == 2 and joint.referenced_seeds(["Z", "Y"]) == ["a", "b"]
+
+
+def materialized(joint: FactoredJoint) -> FactoredJoint:
+    """`joint` with every derived variable tabulated over its closure's seeds,
+    the only form a joint file held before derived variables existed."""
+    out = FactoredJoint(list(joint.seeds.values()))
+    for v in joint.variables.values():
+        if v.inputs:
+            order = joint.referenced_seeds([v.name])
+            shape = [joint.seeds[sn].size for sn in order]
+            v = Variable(v.name, tuple(order), np.broadcast_to(_on_seeds(joint, v, order), shape).ravel())
+        out.add([], [v])
+    return out
+
+
+def test_json_round_trip_with_derived_variables():
+    from infotile.witness import unit_flip
+
+    rng = random.Random(11)
+    joints = [partner_joint(), unit_flip()[0], *(random_derived_joint(rng) for _ in range(6))]
+    for joint in joints:
+        text = joint_dumps(joint)
+        back = joint_loads(text)
+        assert joint_dumps(back) == text
+        for entry in json.loads(text)["vars"]:
+            v = joint.var(entry["name"])
+            assert entry.get("inputs", []) == list(v.inputs) and ("inputs" in entry) == bool(v.inputs)
+            assert back.var(v.name).inputs == v.inputs
+        names = joint.var_names()
+        for sub in (names, names[-2:], names[:1]):
+            assert back.entropy(sub) == joint.entropy(sub)
+
+
+def test_joint_without_derived_variables_serializes_as_before():
+    assert joint_dumps(two_fair_bits()) == (
+        '{"seeds":[{"name":"a","size":2,"probs":["1/2","1/2"]},'
+        '{"name":"b","size":2,"probs":["1/2","1/2"]}],'
+        '"vars":[{"name":"X","seeds":["a"],"table":[0,1]},{"name":"Y","seeds":["b"],"table":[0,1]}]}\n')
+
+
+def test_joint_file_without_inputs_loads():
+    from infotile.witness import unit_flip
+
+    joint = unit_flip()[0]
+    assert any(v.inputs for v in joint.variables.values())
+    text = joint_dumps(materialized(joint))
+    assert '"inputs"' not in text
+    old = joint_loads(text)
+    assert not any(v.inputs for v in old.variables.values())
+    names = joint.var_names()
+    for r in (1, 2, 3):
+        for sub in combinations(names, r):
+            assert old.entropy(sub) == pytest.approx(joint.entropy(sub), abs=1e-12)
+
+
+def test_exact_marginal_refuses_counts_floats_cannot_hold():
+    # four independent 2**14-valued variables: 2**56 atoms, counted exactly only below 2**53
+    size = 2**14
+    joint = FactoredJoint([uniform_seed(f"s{i}", size) for i in range(4)],
+                          [Variable(f"X{i}", (f"s{i}",), np.arange(size)) for i in range(4)])
+    assert exact_marginal(joint, ["X0"])[(7,)] == Fraction(1, size)
+    with pytest.raises(ValueError, match="too many atoms"):
+        exact_marginal(joint, ["X0", "X1", "X2", "X3"])

@@ -206,6 +206,19 @@ def test_witness_locality_bound(mono_pipeline):
     assert biggest <= 10**7
 
 
+def test_partner_tables_are_derived(mono_pipeline):
+    # each U2 = X + U1 mod m is stored over X's values, not over X's seeds
+    _, cs, _, joint = mono_pipeline
+    derived = [v for v in joint.variables.values() if v.inputs]
+    assert derived and all(v.name.endswith(".U2") for v in derived)
+    for v in derived:
+        (x,), (seed,) = v.inputs, v.seeds
+        m = joint.seeds[seed].size
+        assert exact_uniform_over(joint, x, m) and exact_uniform_over(joint, v.name, m)
+        assert v.table.size == (joint.var(x).vmax + 1) * m == m * m
+    assert sum(v.table.size for v in joint.variables.values()) <= 1_500_000
+
+
 def test_corrupted_witness_fails(mono_pipeline):
     _, cs, lay, joint = mono_pipeline
     from infotile.joint import FactoredJoint, Variable
