@@ -12,8 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import ci as ci_mod
-from . import compiler, refuter, systems, tiling, witness
+# `witness`, `joint`, `refuter` and `ci` are imported inside the commands that
+# use them, so the others start without numpy or the modules they never call.
+from . import compiler, systems, tiling
 
 
 class DomainFailure(Exception):
@@ -71,21 +72,22 @@ def cmd_tile_search(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from . import joint as joint_mod, witness
+
     ts = tiling.tileset_loads(_read(args.tileset))
     til = tiling.tiling_loads(_read(args.tiling))
-    from .joint import joint_dumps
-
     joint = witness.build_witness(ts, til)
-    _emit_output(joint_dumps(joint), args.output)
+    _emit_output(joint_mod.joint_dumps(joint), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
-    from .joint import joint_loads
+    from . import joint as joint_mod, witness
 
-    joint = joint_loads(_read(args.joint))
+    joint = joint_mod.joint_loads(_read(args.joint))
     system = _load_system(args.system)
-    report = witness.verify(joint, system, tol=args.tol)
+    tol = witness.UNIT_TOL if args.tol is None else args.tol
+    report = witness.verify(joint, system, tol=tol)
     _emit_output(witness.report_dumps(report), args.output)
     if not report.passed:
         raise DomainFailure(
@@ -96,6 +98,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_refute(args) -> int:
+    from . import refuter
+
     sas = compiler.sas_loads(_read(args.system))
     outcome = refuter.refute(sas, variables=args.vars)
     _emit_output(refuter.outcome_dumps(outcome), args.output)
@@ -103,18 +107,24 @@ def cmd_refute(args) -> int:
 
 
 def cmd_ci_only(args) -> int:
+    from . import ci as ci_mod
+
     cs = systems.system_loads(_read(args.system))
     _emit_output(ci_mod.ci_dumps(ci_mod.to_ci_only(cs)), args.output)
     return 0
 
 
 def cmd_disjointify(args) -> int:
+    from . import ci as ci_mod
+
     cisys = ci_mod.ci_loads(_read(args.system))
     _emit_output(ci_mod.ci_dumps(ci_mod.disjointify(cisys)), args.output)
     return 0
 
 
 def cmd_binary_implication(args) -> int:
+    from . import ci as ci_mod
+
     cisys = ci_mod.ci_loads(_read(args.system))
     out = ci_mod.binary_implication_instance(cisys, args.r)
     _emit_output(ci_mod.ci_dumps(out), args.output)
@@ -124,6 +134,8 @@ def cmd_binary_implication(args) -> int:
 def cmd_emit(args) -> int:
     obj = json.loads(_read(args.system))
     if isinstance(obj, dict) and "relations" in obj:
+        from . import ci as ci_mod
+
         source = ci_mod.ci_from_obj(obj)
     elif isinstance(obj, dict) and "free" in obj:
         source = systems.system_from_obj(obj)
@@ -172,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check a witness against a system")
     sp.add_argument("joint")
     sp.add_argument("system")
-    sp.add_argument("--tol", type=float, default=witness.UNIT_TOL)
+    sp.add_argument("--tol", type=float, default=None)  # None: witness.UNIT_TOL
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_verify)
 

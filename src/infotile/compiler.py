@@ -10,6 +10,7 @@ of the three canonical statement documents.
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,11 +21,12 @@ from .expressions import (
     AffineConstraint,
     InfoExpr,
     ci_row,
-    expr_from_obj,
     expr_to_obj,
     frac_str,
     hcond_row,
     indep_row,
+    parse_names,
+    row_fields_from_obj,
     varset_key,
 )
 from .gadgets import BuildIndex, SystemBuilder
@@ -32,6 +34,7 @@ from .systems import ConstraintSystem, SystemError, lint_system
 from .tiling import TileSet
 
 K_CAP = 13
+_MINUS_ONE = Fraction(-1)
 
 
 class CompileError(ValueError):
@@ -149,21 +152,22 @@ class SparseAffineSystem:
         return [AffineConstraint(r.expr(), r.rel, r.rhs, r.tag) for r in self.rows]
 
 
-def _sparse_entries(expr: InfoExpr) -> tuple:
-    return tuple((vs, c) for vs, c in expr.sorted_terms())
+def _negated(entries: tuple) -> tuple:
+    return tuple((vs, -c) for vs, c in entries)
 
 
 def flatten(cs: ConstraintSystem) -> SparseAffineSystem:
     """All rows in >=-form: equalities split in two, <= rows negated."""
     rows = []
     for r in cs.rows:
+        entries = r.lhs.sorted_terms()
         if r.rel == REL_GE:
-            rows.append(SparseRow(_sparse_entries(r.lhs), REL_GE, r.rhs, r.tag))
+            rows.append(SparseRow(entries, REL_GE, r.rhs, r.tag))
         elif r.rel == REL_LE:
-            rows.append(SparseRow(_sparse_entries(-r.lhs), REL_GE, -r.rhs, r.tag + ":neg"))
+            rows.append(SparseRow(_negated(entries), REL_GE, -r.rhs, r.tag + ":neg"))
         else:
-            rows.append(SparseRow(_sparse_entries(r.lhs), REL_GE, r.rhs, r.tag + ":ge"))
-            rows.append(SparseRow(_sparse_entries(-r.lhs), REL_GE, -r.rhs, r.tag + ":le"))
+            rows.append(SparseRow(entries, REL_GE, r.rhs, r.tag + ":ge"))
+            rows.append(SparseRow(_negated(entries), REL_GE, -r.rhs, r.tag + ":le"))
     return SparseAffineSystem(cs.all_vars(), rows)
 
 
@@ -187,8 +191,10 @@ def slackify(sas: SparseAffineSystem) -> SparseAffineSystem:
         if slack in taken:
             raise SystemError(f"slack name {slack} already taken")
         names.append(slack)
-        expr = r.expr() - InfoExpr.entropy([slack])
-        rows.append(SparseRow(_sparse_entries(expr), REL_EQ, r.rhs, r.tag + ":slack"))
+        # the fresh one-name set sorts among the others by its name alone
+        at = bisect(r.entries, (slack,), key=lambda e: varset_key(e[0]))
+        entries = (*r.entries[:at], (frozenset((slack,)), _MINUS_ONE), *r.entries[at:])
+        rows.append(SparseRow(entries, REL_EQ, r.rhs, r.tag + ":slack"))
     return SparseAffineSystem(names, rows)
 
 
@@ -197,7 +203,7 @@ def sas_to_obj(sas: SparseAffineSystem) -> dict:
         "vars": list(sas.var_names),
         "rows": [
             {
-                "lhs": expr_to_obj(r.expr()),
+                "lhs": [{"coef": str(c), "set": sorted(vs)} for vs, c in r.entries],
                 "rel": r.rel,
                 "rhs": frac_str(r.rhs),
                 "tag": r.tag,
@@ -212,10 +218,17 @@ def sas_from_obj(obj: dict) -> SparseAffineSystem:
             and isinstance(obj.get("rows"), list)):
         raise ValueError('not a sparse system: expected {"vars": [...], "rows": [...]}')
     rows = []
-    for r in obj["rows"]:
-        expr = expr_from_obj(r["lhs"])
-        rows.append(SparseRow(_sparse_entries(expr), r["rel"], Fraction(r["rhs"]), r.get("tag", "")))
-    return SparseAffineSystem(list(obj["vars"]), rows)
+    for i, r in enumerate(obj["rows"]):
+        try:
+            rows.append(_sparse_row_from_obj(r))
+        except ValueError as exc:
+            raise SystemError(f"sparse system row {i}: {exc}") from None
+    return SparseAffineSystem(list(parse_names(obj["vars"], "sparse system vars")), rows)
+
+
+def _sparse_row_from_obj(obj) -> SparseRow:
+    lhs, rel, rhs, tag = row_fields_from_obj(obj)
+    return SparseRow(lhs.sorted_terms(), rel, rhs, tag)
 
 
 def sas_dumps(sas: SparseAffineSystem) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 VarSet = frozenset  # frozenset[str]
@@ -17,6 +18,10 @@ REL_GE = ">="
 REL_EQ = "="
 REL_LE = "<="
 RELATIONS = (REL_GE, REL_EQ, REL_LE)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def frac(x) -> Fraction:
@@ -28,9 +33,55 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+@lru_cache(maxsize=256)
+def _parse(x) -> Fraction:
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
+
+
+def parse_rational(x, field: str = "value") -> Fraction:
+    """An exact rational read from JSON: a string such as "3/2" or "-4", or an integer.
+
+    Floats (inexact) and booleans are refused with a ValueError naming
+    `field`.  Parses are memoized in a small bounded cache: a system file
+    repeats a handful of distinct coefficients thousands of times.
+    """
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        try:
+            return _parse(x)
+        except ValueError as exc:
+            raise ValueError(f"{field}: {exc}") from None
+    raise ValueError(f'{field}: {x!r:.80} is not an exact rational (give a "p/q" string or an integer)')
+
+
+def parse_names(x, field: str) -> list:
+    """A JSON list of variable names, checked to be one."""
+    if isinstance(x, list) and set(map(type, x)) <= {str}:
+        return x
+    raise ValueError(f"{field}: {x!r:.80} is not a list of variable names")
+
+
 def varset_key(vs: VarSet) -> tuple:
     """Canonical sort key for a VarSet (lexicographic on sorted names)."""
     return tuple(sorted(vs))
+
+
+def _merged(base: Mapping, items) -> dict:
+    """A copy of `base` with each (set, coefficient) of `items` added; zero sums dropped."""
+    out = dict(base)
+    for vs, c in items:
+        prev = out.get(vs)
+        if prev is None:
+            out[vs] = c
+        else:
+            c += prev
+            if c:
+                out[vs] = c
+            else:
+                del out[vs]
+    return out
 
 
 class InfoExpr:
@@ -38,10 +89,11 @@ class InfoExpr:
 
     Immutable by convention.  Zero-coefficient and empty-set terms are
     removed, so two expressions are equal iff they are the same function
-    of the underlying entropies.
+    of the underlying entropies.  The canonical term order is worked out
+    on first use and kept on the instance.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_sorted")
 
     def __init__(self, terms: Mapping[VarSet, Fraction] | None = None):
         clean = {}
@@ -51,30 +103,35 @@ class InfoExpr:
                 if c != 0 and vs:
                     clean[frozenset(vs)] = c
         self.terms = clean
+        self._sorted = None
+
+    @classmethod
+    def _of(cls, terms: dict) -> "InfoExpr":
+        """Wrap a term dict that is already clean: frozenset keys, nonzero
+        `Fraction` values, no empty set."""
+        expr = object.__new__(cls)
+        expr.terms = terms
+        expr._sorted = None
+        return expr
 
     @staticmethod
     def entropy(names: Iterable[str]) -> "InfoExpr":
         """H(S) as an expression."""
         vs = frozenset(names)
-        if not vs:
-            return InfoExpr()
-        return InfoExpr({vs: Fraction(1)})
+        return InfoExpr._of({vs: _ONE} if vs else {})
 
     def __add__(self, other: "InfoExpr") -> "InfoExpr":
-        out = dict(self.terms)
-        for vs, c in other.terms.items():
-            out[vs] = out.get(vs, Fraction(0)) + c
-        return InfoExpr(out)
+        return InfoExpr._of(_merged(self.terms, other.terms.items()))
 
     def __sub__(self, other: "InfoExpr") -> "InfoExpr":
-        return self + (-other)
+        return InfoExpr._of(_merged(self.terms, ((vs, -c) for vs, c in other.terms.items())))
 
     def __neg__(self) -> "InfoExpr":
-        return InfoExpr({vs: -c for vs, c in self.terms.items()})
+        return InfoExpr._of({vs: -c for vs, c in self.terms.items()})
 
     def __mul__(self, scalar) -> "InfoExpr":
         s = frac(scalar)
-        return InfoExpr({vs: c * s for vs, c in self.terms.items()})
+        return InfoExpr._of({vs: c * s for vs, c in self.terms.items()} if s else {})
 
     __rmul__ = __mul__
 
@@ -100,8 +157,12 @@ class InfoExpr:
             out[nvs] = out.get(nvs, Fraction(0)) + c
         return InfoExpr(out)
 
-    def sorted_terms(self) -> list[tuple[VarSet, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: varset_key(kv[0]))
+    def sorted_terms(self) -> tuple[tuple[VarSet, Fraction], ...]:
+        """The (set, coefficient) terms in canonical order (by sorted names),
+        worked out on first use and kept."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.terms.items(), key=lambda kv: varset_key(kv[0])))
+        return self._sorted
 
     def __repr__(self):
         if not self.terms:
@@ -120,12 +181,9 @@ def ci_expr(a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()) -> InfoEx
     when the conditional independence holds.
     """
     a, b, c = frozenset(a), frozenset(b), frozenset(c)
-    return (
-        InfoExpr.entropy(a | c)
-        + InfoExpr.entropy(b | c)
-        - InfoExpr.entropy(a | b | c)
-        - InfoExpr.entropy(c)
-    )
+    ac, bc = a | c, b | c
+    terms = ((ac, _ONE), (bc, _ONE), (ac | b, _MINUS_ONE), (c, _MINUS_ONE))
+    return InfoExpr._of(_merged({}, (t for t in terms if t[0])))
 
 
 @dataclass(frozen=True)
@@ -166,7 +224,7 @@ class AffineConstraint:
 def ci_row(a, b, c, tag: str) -> AffineConstraint:
     """I(A;B|C) = 0 as a constraint row."""
     a, b, c = frozenset(a), frozenset(b), frozenset(c)
-    return AffineConstraint(ci_expr(a, b, c), REL_EQ, Fraction(0), tag, ci=(a, b, c))
+    return AffineConstraint(ci_expr(a, b, c), REL_EQ, _ZERO, tag, ci=(a, b, c))
 
 
 def hcond_row(a, c, tag: str) -> AffineConstraint:
@@ -191,15 +249,33 @@ def frac_str(x: Fraction) -> str:
 
 
 def expr_to_obj(expr: InfoExpr) -> list[dict]:
-    return [
-        {"coef": frac_str(c), "set": sorted(vs)}
-        for vs, c in expr.sorted_terms()
-    ]
+    return [{"coef": str(c), "set": sorted(vs)} for vs, c in expr.sorted_terms()]
 
 
 def expr_from_obj(obj) -> InfoExpr:
+    """Read a list of {"coef", "set"} terms; repeated sets are summed."""
+    if not isinstance(obj, list):
+        raise ValueError(f'lhs: {obj!r:.80} is not a list of {{"coef", "set"}} terms')
     terms = {}
     for item in obj:
-        vs = frozenset(item["set"])
-        terms[vs] = terms.get(vs, Fraction(0)) + Fraction(item["coef"])
-    return InfoExpr(terms)
+        if not (isinstance(item, dict) and "coef" in item and "set" in item):
+            raise ValueError(f'lhs: {item!r:.80} is not a {{"coef", "set"}} term')
+        coef = parse_rational(item["coef"], "coef")
+        vs = frozenset(parse_names(item["set"], "set"))
+        if vs:
+            terms[vs] = terms[vs] + coef if vs in terms else coef
+    if not all(terms.values()):
+        terms = {vs: c for vs, c in terms.items() if c}
+    return InfoExpr._of(terms)
+
+
+def row_fields_from_obj(obj) -> tuple[InfoExpr, str, Fraction, str]:
+    """The lhs, rel, rhs and tag of a JSON row {"lhs", "rel", "rhs", "tag"?}, each checked."""
+    if not (isinstance(obj, dict) and all(k in obj for k in ("lhs", "rel", "rhs"))):
+        raise ValueError(f'{obj!r:.80} is not a row {{"lhs", "rel", "rhs", ...}}')
+    rel, tag = obj["rel"], obj.get("tag", "")
+    if rel not in RELATIONS:
+        raise ValueError(f"bad relation {rel!r:.80}")
+    if not isinstance(tag, str):
+        raise ValueError(f"tag: {tag!r:.80} is not a string")
+    return expr_from_obj(obj["lhs"]), rel, parse_rational(obj["rhs"], "rhs"), tag

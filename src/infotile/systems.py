@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expressions import (
     REL_EQ,
@@ -17,9 +16,10 @@ from .expressions import (
     REL_LE,
     AffineConstraint,
     ci_expr,
-    expr_from_obj,
     expr_to_obj,
     frac_str,
+    parse_names,
+    row_fields_from_obj,
 )
 
 
@@ -152,16 +152,14 @@ def row_to_obj(row: AffineConstraint) -> dict:
 
 
 def row_from_obj(obj: dict) -> AffineConstraint:
+    lhs, rel, rhs, tag = row_fields_from_obj(obj)
     ci = None
     if "ci" in obj:
-        ci = (
-            frozenset(obj["ci"]["A"]),
-            frozenset(obj["ci"]["B"]),
-            frozenset(obj["ci"]["C"]),
-        )
-    return AffineConstraint(
-        expr_from_obj(obj["lhs"]), obj["rel"], Fraction(obj["rhs"]), obj.get("tag", ""), ci
-    )
+        triple = obj["ci"]
+        if not (isinstance(triple, dict) and all(k in triple for k in "ABC")):
+            raise ValueError(f'ci: {triple!r:.80} is not a triple {{"A", "B", "C"}}')
+        ci = tuple(frozenset(parse_names(triple[k], f"ci.{k}")) for k in "ABC")
+    return AffineConstraint(lhs, rel, rhs, tag, ci)
 
 
 def system_to_obj(cs: ConstraintSystem) -> dict:
@@ -180,10 +178,16 @@ def system_from_obj(obj: dict) -> ConstraintSystem:
             and all(isinstance(obj.get(k), list) for k in ("free", "exists", "rows"))):
         raise SystemError(
             'not a constraint system: expected {"free": [...], "exists": [...], "rows": [...]}')
+    rows = []
+    for i, r in enumerate(obj["rows"]):
+        try:
+            rows.append(row_from_obj(r))
+        except ValueError as exc:
+            raise SystemError(f"constraint system row {i}: {exc}") from None
     return ConstraintSystem(
-        list(obj["free"]),
-        list(obj["exists"]),
-        [row_from_obj(r) for r in obj["rows"]],
+        list(parse_names(obj["free"], "constraint system free")),
+        list(parse_names(obj["exists"], "constraint system exists")),
+        rows,
         manifest=obj.get("manifest"),
     )
 

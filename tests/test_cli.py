@@ -181,6 +181,20 @@ BAD_JOINTS = {
 }
 
 
+# Edits of the one-row system {"lhs":[{"coef":"1","set":["A","B"]}],"rel":">=","rhs":"5/2",
+# "tag":"pair"} (its sparse form for slackify) that break one nested field
+BAD_ROWS = {
+    "coef list": [('"coef":"1"', '"coef":[1]')],
+    "coef float": [('"coef":"1"', '"coef":0.1')],
+    "rhs null": [('"rhs":"5/2"', '"rhs":null')],
+    "lhs number": [('"lhs":[{"coef":"1","set":["A","B"]}]', '"lhs":5')],
+    "row number": [('{"lhs":[{"coef":"1","set":["A","B"]}],"rel":">=","rhs":"5/2","tag":"pair"}',
+                    "3")],
+    "set nested": [('"set":["A","B"]', '"set":[["A"]]')],
+    "set string": [('"set":["A","B"]', '"set":"AB"')],
+}
+
+
 @pytest.mark.parametrize("kind, text", [
     ("compile", '{"tiles": 5}'),
     ("compile", "[1, 2]"),
@@ -196,40 +210,53 @@ BAD_JOINTS = {
     ("witness", "system"),
     ("disjointify", "system"),
     *(("verify", name) for name in BAD_JOINTS),
+    *((kind, name) for kind in ("flatten", "slackify", "verify") for name in BAD_ROWS),
 ])
 def test_wrong_kind_input_is_one_line_diagnostic(tmp_path, kind, text):
     """For commands other than compile, `text` names the file kind handed over,
     or is the table of B in `PAIR_JOINT` or a `BAD_JOINTS` edit of it,
-    verified against H(A,B) >= 5/2."""
+    verified against H(A,B) >= 5/2, or a `BAD_ROWS` edit of that system."""
     cs = instantiate_gadget(GadgetRef("UNIF_K", (("k", 2),)), ["X"])
+    pair = ConstraintSystem(["A", "B"], [], [
+        AffineConstraint(InfoExpr.entropy(["A", "B"]), ">=", Fraction(5, 2), "pair")])
     files = {
         "system": system_dumps(cs),
         "sparse": sas_dumps(flatten(cs)),
         "tileset": tileset_dumps(TileSet(1, ((1, 1, 1, 1),))),
-        "pair": system_dumps(ConstraintSystem(["A", "B"], [], [
-            AffineConstraint(InfoExpr.entropy(["A", "B"]), ">=", Fraction(5, 2), "pair")])),
+        "pair": system_dumps(pair),
+        "joint": PAIR_JOINT.replace("TABLE", "[0, 1, 2]"),
     }
+    bad, tiles = tmp_path / "bad.json", tmp_path / "tileset.json"
+    argv = {"verify": [bad, tmp_path / "pair.json"], "witness": [tiles, bad]}.get(kind, [bad])
+    expected = EXPECTED_KIND[kind]
     if kind == "compile":
         files["bad"] = text
+    elif text in BAD_ROWS:
+        # the broken file is the system: the sparse one for slackify
+        files["bad"] = sas_dumps(flatten(pair)) if kind == "slackify" else files["pair"]
+        for edit in BAD_ROWS[text]:
+            assert edit[0] in files["bad"]
+            files["bad"] = files["bad"].replace(*edit)
+        if kind == "verify":
+            argv = [tmp_path / "joint.json", bad]
+        expected = "sparse system" if kind == "slackify" else "constraint system"
     elif text.startswith("["):
         files["bad"] = PAIR_JOINT.replace("TABLE", text)
     elif text in BAD_JOINTS:
-        files["bad"] = PAIR_JOINT.replace("TABLE", "[0, 1, 2]")
+        files["bad"] = files["joint"]
         for edit in BAD_JOINTS[text]:
             files["bad"] = files["bad"].replace(*edit)
     else:
         files["bad"] = files[text]
     for name, body in files.items():
         (tmp_path / f"{name}.json").write_text(body)
-    bad, tiles = tmp_path / "bad.json", tmp_path / "tileset.json"
-    argv = {"verify": [bad, tmp_path / "pair.json"], "witness": [tiles, bad]}.get(kind, [bad])
     proc = run_cli([kind, *argv])
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert EXPECTED_KIND[kind] in lines[0]
+    assert expected in lines[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -264,3 +291,43 @@ def test_scalar_json_input_is_one_line_diagnostic(tmp_path, capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_commands_without_entropies_do_not_import_numpy(workdir):
+    script = (
+        "import os, sys\n"
+        "from infotile import cli\n"
+        "os.chdir(sys.argv[1])\n"
+        "for argv in (['compile', 'mono.json', '-o', 'sys.json'],\n"
+        "             ['tile-search', 'mono.json', '--max-period', '1', '-o', 'til.json'],\n"
+        "             ['flatten', 'sys.json', '-o', 'sas.json'],\n"
+        "             ['slackify', 'sas.json', '-o', 'slk.json']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in ('numpy', 'infotile.joint', 'infotile.witness') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(workdir)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_package_exports_resolve():
+    import infotile
+
+    for name in infotile.__all__:
+        assert getattr(infotile, name) is not None, name
+    assert set(infotile.__all__) <= set(dir(infotile))
+    with pytest.raises(AttributeError):
+        infotile.no_such_name
+
+
+def test_verify_default_tolerance_is_unit_tol(tmp_path):
+    from infotile.joint import joint_dumps
+    from infotile.witness import unit_flip
+
+    joint, cs = unit_flip()
+    (tmp_path / "joint.json").write_text(joint_dumps(joint))
+    (tmp_path / "sys.json").write_text(system_dumps(cs))
+    paths = [str(tmp_path / n) for n in ("joint.json", "sys.json")]
+    assert cli.main(["verify", *paths, "-o", str(tmp_path / "default.json")]) == 0
+    assert cli.main(["verify", *paths, "--tol", "1e-9", "-o", str(tmp_path / "tol.json")]) == 0
+    assert (tmp_path / "default.json").read_bytes() == (tmp_path / "tol.json").read_bytes()

@@ -143,15 +143,18 @@ def test_flatten_round_trip():
 
 
 def test_slackify_shape():
-    triple = instantiate_gadget(GadgetRef("TRIPLE"), ["A", "B", "C"])
-    sas = flatten(triple)
-    slk = slackify(sas)
-    assert len(slk.rows) == len(sas.rows)
-    assert len(slk.var_names) == len(sas.var_names) + len(sas.rows)
-    assert all(r.rel == REL_EQ for r in slk.rows)
-    for j, row in enumerate(slk.rows, start=1):
-        coeffs = dict(row.entries)
-        assert coeffs[frozenset({f"_slack{j}"})] == -1
+    # "_slack..." sorts after "C" but before "c": the slack set goes last or in between
+    for names in (["A", "B", "C"], ["A", "B", "c"]):
+        triple = instantiate_gadget(GadgetRef("TRIPLE"), names)
+        sas = flatten(triple)
+        slk = slackify(sas)
+        assert len(slk.rows) == len(sas.rows)
+        assert len(slk.var_names) == len(sas.var_names) + len(sas.rows)
+        assert all(r.rel == REL_EQ for r in slk.rows)
+        for j, row in enumerate(slk.rows, start=1):
+            coeffs = dict(row.entries)
+            assert coeffs[frozenset({f"_slack{j}"})] == -1
+            assert row.entries == row.expr().sorted_terms()
 
 
 def test_slackify_single_bound_example():

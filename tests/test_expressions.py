@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from infotile.expressions import (
     AffineConstraint,
@@ -10,6 +10,7 @@ from infotile.expressions import (
     ci_expr,
     expr_from_obj,
     expr_to_obj,
+    parse_rational,
 )
 from infotile.joint import eval_expression
 
@@ -87,3 +88,88 @@ def test_eval_linearity(seed, a, b):
     lhs = eval_expression(joint, a * p + b * q)
     rhs = a * eval_expression(joint, p) + b * eval_expression(joint, q)
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(a) + abs(b))
+
+
+# --- the trusted fast paths against a naive dict-of-Fraction model ---
+
+NAMES = ("A", "B", "C", "D")
+name_sets = st.frozensets(st.sampled_from(NAMES), max_size=3)
+coefs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# few names and small sets, so that terms often coincide and cancel
+exprs = st.dictionaries(name_sets, coefs, max_size=5).map(InfoExpr)
+
+
+def naive(*pairs):
+    """The sum of (set, coefficient) pairs through the public constructor."""
+    total = {}
+    for vs, c in pairs:
+        total[vs] = total.get(vs, Fraction(0)) + c
+    return InfoExpr(total)
+
+
+def canonical(expr):
+    return sorted(expr.terms.items(), key=lambda kv: sorted(kv[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs, exprs, coefs)
+def test_fast_paths_match_naive_model(p, q, s):
+    results = {
+        "+": (p + q, naive(*p.terms.items(), *q.terms.items())),
+        "-": (p - q, naive(*p.terms.items(), *((vs, -c) for vs, c in q.terms.items()))),
+        "neg": (-p, naive(*((vs, -c) for vs, c in p.terms.items()))),
+        "*": (p * s, naive(*((vs, c * s) for vs, c in p.terms.items()))),
+        "p - p": (p - p, InfoExpr()),
+        "(p + q) - q": ((p + q) - q, p),
+    }
+    for op, (fast, model) in results.items():
+        assert fast == model, op
+        assert list(fast.sorted_terms()) == canonical(model), op
+        assert all(type(c) is Fraction and c != 0 and vs for vs, c in fast.terms.items()), op
+
+
+@settings(max_examples=150, deadline=None)
+@given(name_sets, name_sets, name_sets)
+def test_ci_expr_matches_naive_model(a, b, c):
+    one = Fraction(1)
+    model = naive(*((vs, k) for vs, k in
+                    ((a | c, one), (b | c, one), (a | b | c, -one), (c, -one)) if vs))
+    fast = ci_expr(a, b, c)
+    assert fast == model and list(fast.sorted_terms()) == canonical(model)
+    assert ci_expr(a, a, c) == naive(*((vs, k) for vs, k in ((a | c, one), (c, -one)) if vs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs)
+def test_json_round_trip(expr):
+    back = expr_from_obj(expr_to_obj(expr))
+    assert back == expr and back.sorted_terms() == expr.sorted_terms()
+
+
+rational_texts = st.one_of(
+    st.fractions().map(str),
+    st.integers().map(str),
+    st.text(alphabet="0123456789/-+. e_", max_size=8),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_texts)
+def test_parse_rational_agrees_with_fraction(text):
+    try:
+        value = parse_rational(text)
+    except ValueError:
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            Fraction(text)
+    else:
+        assert value == Fraction(text)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1/0", "x"])
+def test_parse_rational_refuses_inexact_and_malformed(bad):
+    with pytest.raises(ValueError, match="coef"):
+        parse_rational(bad, "coef")
+
+
+def test_parse_rational_accepts_json_integers():
+    assert parse_rational(-4) == -4 and parse_rational(2**70) == 2**70
