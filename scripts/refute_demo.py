@@ -23,7 +23,7 @@ def main():
     for tag, mult in outcome.certificate or ():
         print(f"  {mult} * [{tag}]")
     replay = [(t, dict(e.terms), Fraction(0)) for t, e in elemental_inequalities(2)]
-    replay += [(r.tag, dict(r.entries), r.rhs) for r in sas.rows]
+    replay += [(r.tag, dict(r.lhs.terms), r.rhs) for r in sas.rows]
     replay_certificate(replay, outcome.certificate)
     print("certificate replays exactly")
 

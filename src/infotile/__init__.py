@@ -15,7 +15,7 @@ _MODULE_EXPORTS = {
     "systems": ("ConstraintSystem", "conjoin", "exists_extend", "lint_system"),
     "gadgets": ("GadgetRef", "instantiate_gadget"),
     "tiling": ("PeriodicTiling", "TileSet", "find_periodic_tiling", "validate_tiling"),
-    "compiler": ("SparseAffineSystem", "compile_ttori", "emit_statement", "flatten", "slackify"),
+    "compiler": ("compile_ttori", "emit_statement", "flatten", "slackify"),
     "ci": ("CISystem", "binary_implication_instance", "disjointify",
            "to_cardinality_implication", "to_ci_only"),
     "witness": ("VerificationReport", "WitnessRefusal", "build_witness",

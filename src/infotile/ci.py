@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .expressions import REL_GE
+from .expressions import REL_GE, parse_names
 from .gadgets import SystemBuilder
 from .logbounds import pick_alpha, pick_log_bounds
 from .systems import ConstraintSystem, lint_system
@@ -86,22 +86,34 @@ def ci_to_obj(ci: CISystem) -> dict:
     return obj
 
 
+def _rel_from_obj(obj, field: str) -> tuple:
+    if not (isinstance(obj, dict) and all(k in obj for k in "ABC")):
+        raise CIError(f'{field}: {obj!r:.80} is not a relation {{"A", "B", "C"}}')
+    return tuple(frozenset(parse_names(obj[k], f"{field}.{k}")) for k in "ABC")
+
+
 def ci_from_obj(obj: dict) -> CISystem:
     if not (isinstance(obj, dict) and isinstance(obj.get("vars"), list)
             and isinstance(obj.get("relations"), list)):
         raise CIError('not a CI system: expected {"vars": [...], "relations": [...]}')
-    extras = obj.get("extras", {})
-    target = None
-    if "target" in obj:
-        t = obj["target"]
-        target = (frozenset(t["A"]), frozenset(t["B"]), frozenset(t["C"]))
-    return CISystem(
-        list(obj["vars"]),
-        [(frozenset(r["A"]), frozenset(r["B"]), frozenset(r["C"])) for r in obj["relations"]],
-        binary_var=extras.get("binary_var"),
-        card_bound=extras.get("card_bound"),
-        target=target,
-    )
+    try:
+        extras = obj.get("extras", {})
+        if not isinstance(extras, dict):
+            raise CIError(f"extras: {extras!r:.80} is not an object")
+        binary_var, card_bound = extras.get("binary_var"), extras.get("card_bound")
+        if not (binary_var is None or isinstance(binary_var, str)):
+            raise CIError(f"extras.binary_var: {binary_var!r:.80} is not a variable name")
+        if not (card_bound is None or type(card_bound) is int):
+            raise CIError(f"extras.card_bound: {card_bound!r:.80} is not an integer")
+        return CISystem(
+            list(parse_names(obj["vars"], "vars")),
+            [_rel_from_obj(r, f"relation {i}") for i, r in enumerate(obj["relations"])],
+            binary_var=binary_var,
+            card_bound=card_bound,
+            target=_rel_from_obj(obj["target"], "target") if "target" in obj else None,
+        )
+    except ValueError as exc:
+        raise CIError(f"CI system {exc}") from None
 
 
 def ci_dumps(ci: CISystem) -> str:
@@ -128,6 +140,7 @@ def _card_from_bounds(lo: Fraction, hi: Fraction) -> int:
 
 
 def _collect_bound_pairs(cs: ConstraintSystem) -> dict[str, int]:
+    """The cardinality of each bounded variable; an identical repeated bound is one bound."""
     lows: dict[str, Fraction] = {}
     highs: dict[str, Fraction] = {}
     for row in cs.rows:
@@ -136,9 +149,8 @@ def _collect_bound_pairs(cs: ConstraintSystem) -> dict[str, int]:
         (vs, _), = row.lhs.sorted_terms()
         (name,) = tuple(vs)
         side = lows if row.rel == REL_GE else highs
-        if name in side:
-            raise CIError(f"variable {name} carries two {row.rel} bounds")
-        side[name] = row.rhs
+        if side.setdefault(name, row.rhs) != row.rhs:
+            raise CIError(f"variable {name} carries two {row.rel} bounds: {side[name]} and {row.rhs}")
     if set(lows) != set(highs):
         raise CIError("unpaired cardinality bounds")
     return {name: _card_from_bounds(lows[name], highs[name]) for name in sorted(lows)}

@@ -4,8 +4,9 @@ The compiled system existentially quantifies a torus support (two cycle
 pairs), a per-vertex color vector of switches, the switch observables, and
 one fair coin, then conjoins the orientation and face constraints that make
 satisfiability equivalent to periodic tileability.  Also here: flattening to
-a sparse affine system, the slack-variable equality form, and the emission
-of the three canonical statement documents.
+>=-form, the slack-variable equality form (both systems whose names are all
+free, written as the sparse system format), and the emission of the three
+canonical statement documents.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .expressions import (
     varset_key,
 )
 from .gadgets import BuildIndex, SystemBuilder
-from .systems import ConstraintSystem, SystemError, lint_system
+from .systems import ConstraintSystem, SystemError, lint_system, row_to_obj
 from .tiling import TileSet
 
 K_CAP = 13
@@ -121,54 +122,19 @@ def compile_ttori(ts: TileSet) -> ConstraintSystem:
 # --- sparse affine form ---
 
 
-@dataclass(frozen=True)
-class SparseRow:
-    entries: tuple  # ((VarSet, Fraction), ...) sorted by set
-    rel: str
-    rhs: Fraction
-    tag: str
-
-    def expr(self) -> InfoExpr:
-        return InfoExpr(dict(self.entries))
-
-
-@dataclass
-class SparseAffineSystem:
-    var_names: list[str]
-    rows: list[SparseRow]
-
-    def __post_init__(self):
-        names = set(self.var_names)
-        for row in self.rows:
-            for vs, c in row.entries:
-                if not vs:
-                    raise SystemError(f"row {row.tag!r}: empty subset")
-                if c == 0:
-                    raise SystemError(f"row {row.tag!r}: zero coefficient")
-                if not vs <= names:
-                    raise SystemError(f"row {row.tag!r}: unknown variables {sorted(vs - names)}")
-
-    def as_constraints(self) -> list[AffineConstraint]:
-        return [AffineConstraint(r.expr(), r.rel, r.rhs, r.tag) for r in self.rows]
-
-
-def _negated(entries: tuple) -> tuple:
-    return tuple((vs, -c) for vs, c in entries)
-
-
-def flatten(cs: ConstraintSystem) -> SparseAffineSystem:
-    """All rows in >=-form: equalities split in two, <= rows negated."""
+def flatten(cs: ConstraintSystem) -> ConstraintSystem:
+    """All rows in >=-form over the same names, every one free: equalities
+    split in two, <= rows negated, >= rows kept as they are."""
     rows = []
     for r in cs.rows:
-        entries = r.lhs.sorted_terms()
         if r.rel == REL_GE:
-            rows.append(SparseRow(entries, REL_GE, r.rhs, r.tag))
+            rows.append(r if r.ci is None else AffineConstraint(r.lhs, REL_GE, r.rhs, r.tag))
         elif r.rel == REL_LE:
-            rows.append(SparseRow(_negated(entries), REL_GE, -r.rhs, r.tag + ":neg"))
+            rows.append(AffineConstraint(-r.lhs, REL_GE, -r.rhs, r.tag + ":neg"))
         else:
-            rows.append(SparseRow(entries, REL_GE, r.rhs, r.tag + ":ge"))
-            rows.append(SparseRow(_negated(entries), REL_GE, -r.rhs, r.tag + ":le"))
-    return SparseAffineSystem(cs.all_vars(), rows)
+            rows.append(AffineConstraint(r.lhs, REL_GE, r.rhs, r.tag + ":ge"))
+            rows.append(AffineConstraint(-r.lhs, REL_GE, -r.rhs, r.tag + ":le"))
+    return ConstraintSystem(cs.all_vars(), [], rows)
 
 
 def slack_name(j: int) -> str:
@@ -176,13 +142,14 @@ def slack_name(j: int) -> str:
     return f"_slack{j}"
 
 
-def slackify(sas: SparseAffineSystem) -> SparseAffineSystem:
+def slackify(sas: ConstraintSystem) -> ConstraintSystem:
     """Equality form: row_j >= rhs becomes row_j - H(S_j) = rhs, S_j fresh.
 
     Satisfiable iff the input is: a slack variable absorbs exactly the row's
     surplus entropy.
     """
-    names, taken = list(sas.var_names), set(sas.var_names)
+    names = sas.all_vars()
+    taken = set(names)
     rows = []
     for j, r in enumerate(sas.rows, start=1):
         if r.rel != REL_GE:
@@ -192,50 +159,40 @@ def slackify(sas: SparseAffineSystem) -> SparseAffineSystem:
             raise SystemError(f"slack name {slack} already taken")
         names.append(slack)
         # the fresh one-name set sorts among the others by its name alone
-        at = bisect(r.entries, (slack,), key=lambda e: varset_key(e[0]))
-        entries = (*r.entries[:at], (frozenset((slack,)), _MINUS_ONE), *r.entries[at:])
-        rows.append(SparseRow(entries, REL_EQ, r.rhs, r.tag + ":slack"))
-    return SparseAffineSystem(names, rows)
+        terms = r.lhs.sorted_terms()
+        at = bisect(terms, (slack,), key=lambda t: varset_key(t[0]))
+        terms = (*terms[:at], (frozenset((slack,)), _MINUS_ONE), *terms[at:])
+        rows.append(AffineConstraint(InfoExpr._of(dict(terms), terms), REL_EQ, r.rhs,
+                                     r.tag + ":slack"))
+    return ConstraintSystem(names, [], rows)
 
 
-def sas_to_obj(sas: SparseAffineSystem) -> dict:
-    return {
-        "vars": list(sas.var_names),
-        "rows": [
-            {
-                "lhs": [{"coef": str(c), "set": sorted(vs)} for vs, c in r.entries],
-                "rel": r.rel,
-                "rhs": frac_str(r.rhs),
-                "tag": r.tag,
-            }
-            for r in sas.rows
-        ],
-    }
+def sas_to_obj(sas: ConstraintSystem) -> dict:
+    return {"vars": sas.all_vars(), "rows": [row_to_obj(r) for r in sas.rows]}
 
 
-def sas_from_obj(obj: dict) -> SparseAffineSystem:
+def sas_from_obj(obj: dict) -> ConstraintSystem:
+    """A sparse system file, as a system whose names are all free."""
     if not (isinstance(obj, dict) and isinstance(obj.get("vars"), list)
             and isinstance(obj.get("rows"), list)):
         raise ValueError('not a sparse system: expected {"vars": [...], "rows": [...]}')
     rows = []
     for i, r in enumerate(obj["rows"]):
         try:
-            rows.append(_sparse_row_from_obj(r))
+            rows.append(AffineConstraint(*row_fields_from_obj(r)))
         except ValueError as exc:
             raise SystemError(f"sparse system row {i}: {exc}") from None
-    return SparseAffineSystem(list(parse_names(obj["vars"], "sparse system vars")), rows)
+    try:
+        return ConstraintSystem(list(parse_names(obj["vars"], "vars")), [], rows)
+    except ValueError as exc:
+        raise SystemError(f"sparse system {exc}") from None
 
 
-def _sparse_row_from_obj(obj) -> SparseRow:
-    lhs, rel, rhs, tag = row_fields_from_obj(obj)
-    return SparseRow(lhs.sorted_terms(), rel, rhs, tag)
-
-
-def sas_dumps(sas: SparseAffineSystem) -> str:
+def sas_dumps(sas: ConstraintSystem) -> str:
     return json.dumps(sas_to_obj(sas), separators=(",", ":")) + "\n"
 
 
-def sas_loads(text: str) -> SparseAffineSystem:
+def sas_loads(text: str) -> ConstraintSystem:
     return sas_from_obj(json.loads(text))
 
 
@@ -295,36 +252,26 @@ def emit_statement(obj, form: str, role_var: str | None = None) -> dict:
 
     'cond-affine' and 'affine-subspace' take a CISystem (or anything with
     `.relations` and a designated binary variable); 'boolean' takes a
-    ConstraintSystem or SparseAffineSystem and negates it into a disjunction
-    of strict reversed rows.  Every emitted coefficient carries an audit
-    trail back to its source rows.
+    ConstraintSystem, flattens it and negates each >= row into a strict
+    reversed disjunct, so an equality row gives two.  Every emitted
+    coefficient carries an audit trail back to its source rows.
     """
     if form not in EMIT_FORMS:
         raise EmitError(f"unknown form {form!r}")
     if form == "boolean":
-        if isinstance(obj, ConstraintSystem):
-            sas = flatten(obj)
-        elif isinstance(obj, SparseAffineSystem):
-            sas = obj
-        else:
-            raise EmitError("boolean form needs a constraint or sparse affine system")
-        disjuncts = []
-        for r in sas.rows:
-            neg = -r.expr()
-            disjuncts.append(
-                {
-                    "a": expr_to_obj(neg),
-                    "rel": ">",
-                    "rhs": frac_str(-r.rhs),
-                    "source": r.tag,
-                }
-            )
+        if not isinstance(obj, ConstraintSystem):
+            raise EmitError("boolean form needs a constraint system")
+        sas = flatten(obj)
+        disjuncts = [
+            {"a": expr_to_obj(-r.lhs), "rel": ">", "rhs": frac_str(-r.rhs), "source": r.tag}
+            for r in sas.rows
+        ]
         text = " OR ".join(
             f"[negation of {r.tag}: strict reverse]" for r in sas.rows
         )
         return {
             "form": "boolean",
-            "vars": list(sas.var_names),
+            "vars": sas.all_vars(),
             "disjuncts": disjuncts,
             "text": "for all v in the entropic region: " + (text or "FALSE"),
         }

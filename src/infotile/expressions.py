@@ -106,12 +106,13 @@ class InfoExpr:
         self._sorted = None
 
     @classmethod
-    def _of(cls, terms: dict) -> "InfoExpr":
+    def _of(cls, terms: dict, sorted_terms: tuple | None = None) -> "InfoExpr":
         """Wrap a term dict that is already clean: frozenset keys, nonzero
-        `Fraction` values, no empty set."""
+        `Fraction` values, no empty set.  `sorted_terms`, when given, is its
+        canonical order, already worked out."""
         expr = object.__new__(cls)
         expr.terms = terms
-        expr._sorted = None
+        expr._sorted = sorted_terms
         return expr
 
     @staticmethod
@@ -127,7 +128,9 @@ class InfoExpr:
         return InfoExpr._of(_merged(self.terms, ((vs, -c) for vs, c in other.terms.items())))
 
     def __neg__(self) -> "InfoExpr":
-        return InfoExpr._of({vs: -c for vs, c in self.terms.items()})
+        # negation keeps the canonical order: it is worked out at most once
+        neg = tuple((vs, -c) for vs, c in self.sorted_terms())
+        return InfoExpr._of(dict(neg), neg)
 
     def __mul__(self, scalar) -> "InfoExpr":
         s = frac(scalar)
@@ -145,10 +148,7 @@ class InfoExpr:
         return bool(self.terms)
 
     def variables(self) -> VarSet:
-        out = set()
-        for vs in self.terms:
-            out |= vs
-        return frozenset(out)
+        return frozenset().union(*self.terms)
 
     def rename(self, mapping: Mapping[str, str]) -> "InfoExpr":
         out = {}
@@ -186,7 +186,7 @@ def ci_expr(a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()) -> InfoEx
     return InfoExpr._of(_merged({}, (t for t in terms if t[0])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineConstraint:
     """A row `lhs rel rhs` with exact rational lhs coefficients and rhs.
 
@@ -204,7 +204,8 @@ class AffineConstraint:
     def __post_init__(self):
         if self.rel not in RELATIONS:
             raise ValueError(f"bad relation {self.rel!r}")
-        object.__setattr__(self, "rhs", frac(self.rhs))
+        if not isinstance(self.rhs, Fraction):
+            object.__setattr__(self, "rhs", frac(self.rhs))
         if self.ci is not None:
             a, b, c = self.ci
             object.__setattr__(
@@ -219,6 +220,11 @@ class AffineConstraint:
 
     def variables(self) -> VarSet:
         return self.lhs.variables()
+
+    @property
+    def entries(self) -> tuple:
+        # read by benchmark/tracing.py on the rows of what goes into refuter.refute
+        return self.lhs.sorted_terms()
 
 
 def ci_row(a, b, c, tag: str) -> AffineConstraint:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .expressions import REL_GE, InfoExpr, frac_str, varset_key
-from .compiler import SparseAffineSystem
+from .systems import ConstraintSystem
 
 N_CAP = 10
 
@@ -132,17 +132,18 @@ def _phase1_feasible(rows):
     return False, cert
 
 
-def refute(sas: SparseAffineSystem, variables: list[str] | None = None) -> LPOutcome:
-    """Decide Shannon-refutability of a >=-form sparse system.
+def refute(sas: ConstraintSystem, variables: list[str] | None = None) -> LPOutcome:
+    """Decide Shannon-refutability of a >=-form system, such as `flatten` writes.
 
     With `variables` given, rows mentioning any excluded variable are
     dropped before the check (a sound relaxation: REFUTED still implies the
     full system has no realization).
     """
+    names = sas.all_vars()
     if variables is None:
-        variables = list(sas.var_names)
+        variables = names
     varset_all = frozenset(variables)
-    if not varset_all <= set(sas.var_names):
+    if not varset_all <= set(names):
         raise RefuterError("restriction names unknown to the system")
     n = len(variables)
     if not 1 <= n <= N_CAP:
@@ -153,9 +154,8 @@ def refute(sas: SparseAffineSystem, variables: list[str] | None = None) -> LPOut
     for r in sas.rows:
         if r.rel != REL_GE:
             raise RefuterError("refute expects a >=-form system (run flatten first)")
-        support = set().union(*(vs for vs, _ in r.entries)) if r.entries else set()
-        if support <= varset_all:
-            rows.append((r.tag, dict(r.entries), r.rhs))
+        if r.variables() <= varset_all:
+            rows.append((r.tag, r.lhs.terms, r.rhs))
     feasible, cert = _phase1_feasible(rows)
     if feasible:
         return LPOutcome(UNKNOWN)

@@ -3,12 +3,17 @@
 A system is the machine form of an existential predicate: free variables,
 existentially quantified variables, and a list of rows each of which is
 either a conditional-independence identity (= 0) or an affine bound on a
-single entropy.  The lint enforces that no other row shape occurs.
+single entropy.  The lint enforces that no other row shape occurs.  The
+>=-form and equality-form rewrites of `compiler.flatten` and
+`compiler.slackify` are systems too, with every name free and rows of any
+affine shape.
 """
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .expressions import (
     REL_EQ,
@@ -39,16 +44,25 @@ class ConstraintSystem:
     manifest: dict | None = None
 
     def __post_init__(self):
-        names = set(self.free_vars) | set(self.existential_vars)
-        if len(names) != len(self.free_vars) + len(self.existential_vars):
-            raise SystemError("free and existential names must be disjoint and unique")
-        for row in self.rows:
-            missing = row.variables() - names
-            if missing:
-                raise SystemError(f"row {row.tag!r} uses undeclared variables {sorted(missing)}")
+        declared = self.all_vars()
+        names = set(declared)
+        if len(names) != len(declared):
+            twice = sorted(n for n, k in Counter(declared).items() if k > 1)
+            raise SystemError(f"variables declared more than once: {twice}")
+        # one pass over every term's names; the row at fault is looked for only on failure
+        if not set().union(*chain.from_iterable(row.lhs.terms for row in self.rows)) <= names:
+            for row in self.rows:
+                missing = row.variables() - names
+                if missing:
+                    raise SystemError(f"row {row.tag!r} uses undeclared variables {sorted(missing)}")
 
     def all_vars(self) -> list[str]:
         return list(self.free_vars) + list(self.existential_vars)
+
+    @property
+    def var_names(self) -> list[str]:
+        # read by benchmark/tracing.py on what goes into refuter.refute
+        return self.all_vars()
 
     def rename(self, mapping: dict[str, str]) -> "ConstraintSystem":
         return ConstraintSystem(

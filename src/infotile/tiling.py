@@ -16,6 +16,20 @@ class TilingError(ValueError):
     pass
 
 
+def _int_field(x, field: str) -> int:
+    """A JSON integer: booleans, floats and strings are refused."""
+    if type(x) is int:
+        return x
+    raise TilingError(f"{field}: {x!r:.80} is not an integer")
+
+
+def _int_list(x, field: str) -> tuple[int, ...]:
+    """A JSON list of integers, checked as `_int_field` checks one."""
+    if isinstance(x, list) and all(type(c) is int for c in x):
+        return tuple(x)
+    raise TilingError(f"{field}: {x!r:.80} is not a list of integers")
+
+
 @dataclass(frozen=True)
 class TileSet:
     num_colors: int
@@ -46,10 +60,10 @@ class TileSet:
         if not (isinstance(obj, dict) and "colors" in obj
                 and isinstance(obj.get("tiles"), list)):
             raise TilingError('not a tile set: expected {"colors": t, "tiles": [[n, e, s, w], ...]}')
-        try:
-            return TileSet(int(obj["colors"]), tuple(tuple(t) for t in obj["tiles"]))
-        except TypeError as exc:
-            raise TilingError(f"malformed tile set: {exc}") from None
+        return TileSet(
+            _int_field(obj["colors"], "tile set colors"),
+            tuple(_int_list(t, f"tile set tile {i}") for i, t in enumerate(obj["tiles"])),
+        )
 
 
 @dataclass(frozen=True)
@@ -79,7 +93,11 @@ class PeriodicTiling:
         if not (isinstance(obj, dict) and "a" in obj and "b" in obj
                 and isinstance(obj.get("grid"), list)):
             raise TilingError('not a periodic tiling: expected {"a": a, "b": b, "grid": [[...], ...]}')
-        return PeriodicTiling(int(obj["a"]), int(obj["b"]), tuple(tuple(r) for r in obj["grid"]))
+        return PeriodicTiling(
+            _int_field(obj["a"], "periodic tiling a"),
+            _int_field(obj["b"], "periodic tiling b"),
+            tuple(_int_list(r, f"periodic tiling grid row {v}") for v, r in enumerate(obj["grid"])),
+        )
 
 
 N, E, S, W = 0, 1, 2, 3

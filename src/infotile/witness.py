@@ -31,7 +31,7 @@ from math import lcm
 
 import numpy as np
 
-from .compiler import SparseAffineSystem, compile_ttori_indexed, slack_name
+from .compiler import compile_ttori_indexed, slack_name
 from .expressions import REL_EQ, REL_GE
 from .gadgets import BuildIndex, CycsIx, FlipIx, SatIx, SwIx, UnifIx, w_of_color
 from .joint import (FactoredJoint, Seed, Variable, _coordinate, _on_seeds, _pmf, _product_shape,
@@ -486,18 +486,13 @@ class VerificationReport:
 
 
 def verify(joint: FactoredJoint, system, tol: float = UNIT_TOL) -> VerificationReport:
-    """Evaluate every row of a constraint or sparse affine system.
+    """Evaluate every row of a constraint system (or of a list of rows).
 
     Equality rows pass when |lhs - rhs| <= tol; inequality rows may violate
     their direction by at most tol.  Row order and results are deterministic;
     `atoms` records the largest single marginal enumeration the row needs.
     """
-    if isinstance(system, SparseAffineSystem):
-        rows = system.as_constraints()
-    elif isinstance(system, ConstraintSystem):
-        rows = system.rows
-    else:
-        rows = list(system)
+    rows = system.rows if isinstance(system, ConstraintSystem) else list(system)
     report = VerificationReport(tolerance=tol)
     for row in rows:
         value = eval_expression(joint, row.lhs)
@@ -619,7 +614,7 @@ def _solve_binary_entropy(target: float) -> Fraction:
     return Fraction((lo + hi) / 2).limit_denominator(10**12)
 
 
-def extend_witness_for_slack(joint: FactoredJoint, ge_system: SparseAffineSystem) -> FactoredJoint:
+def extend_witness_for_slack(joint: FactoredJoint, ge_system: ConstraintSystem) -> FactoredJoint:
     """Add one fresh variable per row whose entropy matches the row's surplus.
 
     The surplus of row j is lhs - rhs evaluated on the witness (>= 0 if the
@@ -631,7 +626,7 @@ def extend_witness_for_slack(joint: FactoredJoint, ge_system: SparseAffineSystem
     for j, row in enumerate(ge_system.rows, start=1):
         if row.rel != REL_GE:
             raise WitnessError("slack extension expects a >=-form system")
-        surplus = eval_expression(joint, row.expr()) - float(row.rhs)
+        surplus = eval_expression(joint, row.lhs) - float(row.rhs)
         surplus = max(0.0, surplus)
         name = slack_name(j)
         whole = int(surplus)

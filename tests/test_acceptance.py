@@ -254,7 +254,7 @@ def test_criterion_6_shannon_refuter():
     out = refute(sas)
     assert out.status == REFUTED and out.certificate
     replay_rows = [(t, dict(e.terms), Fraction(0)) for t, e in elemental_inequalities(2)]
-    replay_rows += [(r.tag, dict(r.entries), r.rhs) for r in sas.rows]
+    replay_rows += [(r.tag, dict(r.lhs.terms), r.rhs) for r in sas.rows]
     replay_certificate(replay_rows, out.certificate)  # bit-exact rational replay
     single = flatten(
         ConstraintSystem(
@@ -309,7 +309,7 @@ def test_criterion_8_emissions_and_slack():
     for d in doc["disjuncts"]:
         src = by_tag[d["source"]]
         assert {frozenset(t["set"]): Fraction(t["coef"]) for t in d["a"]} == {
-            vs: -c for vs, c in src.entries
+            vs: -c for vs, c in src.lhs.terms.items()
         }
         assert Fraction(d["rhs"]) == -src.rhs
 

@@ -16,7 +16,7 @@ from infotile.ci import (
     to_cardinality_implication,
     to_ci_only,
 )
-from infotile.expressions import REL_GE, AffineConstraint, InfoExpr, ci_row
+from infotile.expressions import REL_GE, AffineConstraint, InfoExpr, bound_row, ci_row
 from infotile.gadgets import GadgetRef, SystemBuilder, instantiate_gadget
 from infotile.joint import FactoredJoint, Variable, uniform_seed
 from infotile.logbounds import pick_log_bounds
@@ -44,6 +44,37 @@ def test_unif105_uses_log_bound_constants():
     assert str(pick_log_bounds(106)) in entry[3]
     # no affine rows survive: the output type only carries relations
     assert all(len(rel) == 3 for rel in ci.relations)
+
+
+def test_compiled_mono_bound_pairs():
+    # 742 bound rows, 708 distinct: F carries one identical pair per flip gadget
+    from infotile.ci import _collect_bound_pairs
+    from infotile.compiler import compile_ttori
+    from infotile.tiling import TileSet
+
+    cs = compile_ttori(TileSet(1, ((1, 1, 1, 1),)))
+    bounds = [r for r in cs.rows if r.ci is None]
+    assert len(bounds) == 742 and len({(r.lhs, r.rel, r.rhs) for r in bounds}) == 708
+    assert len(_collect_bound_pairs(cs)) == 354
+
+
+def _unif2_with(extra):
+    cs = instantiate_gadget(GadgetRef("UNIF_K", (("k", 2),)), ["Y"])
+    return ConstraintSystem(cs.free_vars, cs.existential_vars, cs.rows + extra(cs))
+
+
+def test_repeated_identical_bound_counts_once():
+    single = _unif2_with(lambda cs: [])
+    doubled = _unif2_with(lambda cs: [r for r in cs.rows if r.ci is None])
+    assert len(doubled.rows) == len(single.rows) + 2
+    assert ci_dumps(to_ci_only(doubled)) == ci_dumps(to_ci_only(single))
+
+
+@pytest.mark.parametrize("rel", [">=", "<="])
+def test_conflicting_bounds_raise(rel):
+    conflicting = _unif2_with(lambda cs: [bound_row("Y", rel, 3, "other")])
+    with pytest.raises(CIError, match=f"two {rel} bounds"):
+        to_ci_only(conflicting)
 
 
 def test_rejects_non_lint_clean_input():

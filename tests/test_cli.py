@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from infotile import cli
+from infotile.ci import ci_loads
 from infotile.compiler import compile_ttori, flatten, sas_dumps, sas_loads
 from infotile.expressions import AffineConstraint, InfoExpr
 from infotile.gadgets import GadgetRef, instantiate_gadget
@@ -195,10 +197,33 @@ BAD_ROWS = {
 }
 
 
+# A valid implication instance for disjointify
+CI_FILE = ('{"n":2,"vars":["A","B"],"relations":[{"A":["A"],"B":["A"],"C":["B"]}],'
+           '"extras":{},"target":{"A":["A"],"B":["B"],"C":[]}}')
+
+# Whole files with one nested field of the wrong kind, or repeated names
+BAD_FILES = {
+    "grid float": '{"a":1,"b":1,"grid":[[0.7]]}',
+    "a float": '{"a":1.0,"b":1,"grid":[[0]]}',
+    "b string": '{"a":1,"b":"1","grid":[[0]]}',
+    "relation A number": CI_FILE.replace('{"A":["A"],"B":["A"]', '{"A":5,"B":["A"]'),
+    "relation without C": CI_FILE.replace(',"C":["B"]', ""),
+    "target C string": CI_FILE.replace('"C":[]', '"C":"B"'),
+    "binary_var number": CI_FILE.replace('"extras":{}', '"extras":{"binary_var":1}'),
+    "card_bound string": CI_FILE.replace('"extras":{}', '"extras":{"card_bound":"2"}'),
+    "vars repeated": ('{"vars":["X","X"],"rows":[{"lhs":[{"coef":"1","set":["X"]}],'
+                      '"rel":">=","rhs":"1","tag":"b"}]}'),
+}
+
+
 @pytest.mark.parametrize("kind, text", [
     ("compile", '{"tiles": 5}'),
     ("compile", "[1, 2]"),
     ("compile", '{"colors": 1, "tiles": [5]}'),
+    ("compile", '{"colors": 1.9, "tiles": [[1, 1, 1, 1.0]]}'),
+    ("compile", '{"colors": true, "tiles": [[1, 1, 1, 1]]}'),
+    ("compile", '{"colors": 1, "tiles": [[1, 1, 1, 1.0]]}'),
+    ("compile", '{"colors": 1, "tiles": [[1, 1, 1, "1"]]}'),
     ("verify", "system"),
     ("verify", "[-1, 0, 1]"),
     ("verify", "[0.5, 0, 1]"),
@@ -211,11 +236,18 @@ BAD_ROWS = {
     ("disjointify", "system"),
     *(("verify", name) for name in BAD_JOINTS),
     *((kind, name) for kind in ("flatten", "slackify", "verify") for name in BAD_ROWS),
+    *(("witness", name) for name in ("grid float", "a float", "b string")),
+    *(("disjointify", name) for name in ("relation A number", "relation without C",
+                                         "target C string", "binary_var number",
+                                         "card_bound string")),
+    ("slackify", "vars repeated"),
+    ("refute", "vars repeated"),
 ])
 def test_wrong_kind_input_is_one_line_diagnostic(tmp_path, kind, text):
     """For commands other than compile, `text` names the file kind handed over,
     or is the table of B in `PAIR_JOINT` or a `BAD_JOINTS` edit of it,
-    verified against H(A,B) >= 5/2, or a `BAD_ROWS` edit of that system."""
+    verified against H(A,B) >= 5/2, or a `BAD_ROWS` edit of that system, or
+    a `BAD_FILES` entry."""
     cs = instantiate_gadget(GadgetRef("UNIF_K", (("k", 2),)), ["X"])
     pair = ConstraintSystem(["A", "B"], [], [
         AffineConstraint(InfoExpr.entropy(["A", "B"]), ">=", Fraction(5, 2), "pair")])
@@ -246,6 +278,10 @@ def test_wrong_kind_input_is_one_line_diagnostic(tmp_path, kind, text):
         files["bad"] = files["joint"]
         for edit in BAD_JOINTS[text]:
             files["bad"] = files["bad"].replace(*edit)
+    elif text in BAD_FILES:
+        files["bad"] = BAD_FILES[text]
+        if kind == "disjointify":  # the edit took, and the unedited file loads
+            assert files["bad"] != CI_FILE and ci_loads(CI_FILE).relations
     else:
         files["bad"] = files[text]
     for name, body in files.items():
@@ -308,6 +344,13 @@ def test_commands_without_entropies_do_not_import_numpy(workdir):
     proc = subprocess.run([sys.executable, "-c", script, str(workdir)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_refute_demo_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "refute_demo.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "certificate replays exactly" in proc.stdout
 
 
 def test_package_exports_resolve():

@@ -6,6 +6,7 @@ import pytest
 from infotile.compiler import (
     CompileError,
     compile_ttori,
+    emit_dumps,
     emit_statement,
     face_sets,
     flatten,
@@ -14,9 +15,9 @@ from infotile.compiler import (
     sas_loads,
     slackify,
 )
-from infotile.expressions import REL_EQ, REL_GE
+from infotile.expressions import REL_EQ, REL_GE, AffineConstraint, InfoExpr
 from infotile.gadgets import GadgetRef, instantiate_gadget, residue
-from infotile.systems import is_lint_clean, system_dumps
+from infotile.systems import ConstraintSystem, is_lint_clean, system_dumps
 from infotile.tiling import TileSet, find_periodic_tiling
 
 MONO = TileSet(1, ((1, 1, 1, 1),))
@@ -123,7 +124,7 @@ def test_flatten_splits_equalities():
     sas = flatten(triple)
     assert len(sas.rows) == 12
     assert all(r.rel == REL_GE for r in sas.rows)
-    vars_seen = set().union(*(vs for r in sas.rows for vs, _ in r.entries))
+    vars_seen = set().union(*(r.variables() for r in sas.rows))
     assert vars_seen <= {"A", "B", "C"}
 
 
@@ -149,21 +150,17 @@ def test_slackify_shape():
         sas = flatten(triple)
         slk = slackify(sas)
         assert len(slk.rows) == len(sas.rows)
-        assert len(slk.var_names) == len(sas.var_names) + len(sas.rows)
+        assert len(slk.all_vars()) == len(sas.all_vars()) + len(sas.rows)
         assert all(r.rel == REL_EQ for r in slk.rows)
         for j, row in enumerate(slk.rows, start=1):
-            coeffs = dict(row.entries)
-            assert coeffs[frozenset({f"_slack{j}"})] == -1
-            assert row.entries == row.expr().sorted_terms()
+            assert row.lhs.terms[frozenset({f"_slack{j}"})] == -1
+            assert row.lhs.sorted_terms() == InfoExpr(row.lhs.terms).sorted_terms()
 
 
 def test_slackify_single_bound_example():
-    from infotile.compiler import SparseAffineSystem, SparseRow
-
-    row = SparseRow(((frozenset({"X"}), Fraction(1)),), REL_GE, Fraction(1), "b")
-    slk = slackify(SparseAffineSystem(["X"], [row]))
-    coeffs = dict(slk.rows[0].entries)
-    assert coeffs == {frozenset({"X"}): 1, frozenset({"_slack1"}): -1}
+    row = AffineConstraint(InfoExpr.entropy(["X"]), REL_GE, Fraction(1), "b")
+    slk = slackify(ConstraintSystem(["X"], [], [row]))
+    assert slk.rows[0].lhs.terms == {frozenset({"X"}): 1, frozenset({"_slack1"}): -1}
     assert slk.rows[0].rel == REL_EQ and slk.rows[0].rhs == 1
 
 
@@ -221,7 +218,30 @@ def test_emit_boolean_negates_rows():
         assert d["rel"] == ">"
         assert Fraction(d["rhs"]) == -src.rhs
         negated = {frozenset(t["set"]): Fraction(t["coef"]) for t in d["a"]}
-        assert negated == {vs: -c for vs, c in src.entries}
+        assert negated == {vs: -c for vs, c in src.lhs.terms.items()}
+
+
+def test_emit_boolean_equality_rows_give_two_disjuncts():
+    # not (e = r) is (-e > -r) or (e > r): one disjunct per direction
+    unif2 = instantiate_gadget(GadgetRef("UNIF_K", (("k", 2),)), ["X"])
+    slk = slackify(flatten(unif2))
+    assert len(slk.rows) == 14 and all(r.rel == REL_EQ for r in slk.rows)
+    doc = emit_statement(slk, "boolean")
+    assert len(doc["disjuncts"]) == 28
+    by_source = {d["source"]: d for d in doc["disjuncts"]}
+    for r in slk.rows:
+        for suffix, sign in ((":ge", -1), (":le", 1)):
+            d = by_source[r.tag + suffix]
+            assert d["rel"] == ">" and Fraction(d["rhs"]) == sign * r.rhs
+            coeffs = {frozenset(t["set"]): Fraction(t["coef"]) for t in d["a"]}
+            assert coeffs == {vs: sign * c for vs, c in r.lhs.terms.items()}
+
+
+def test_emit_boolean_of_flatten_output_is_unchanged():
+    unif2 = instantiate_gadget(GadgetRef("UNIF_K", (("k", 2),)), ["X"])
+    text = emit_dumps(emit_statement(unif2, "boolean"))
+    assert emit_dumps(emit_statement(flatten(unif2), "boolean")) == text
+    assert emit_dumps(emit_statement(sas_loads(sas_dumps(flatten(unif2))), "boolean")) == text
 
 
 def test_emit_single_ci_row_cond_affine():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infotile.compiler import flatten, slackify
 from infotile.expressions import (
+    RELATIONS,
     AffineConstraint,
     InfoExpr,
     ci_expr,
@@ -13,6 +15,7 @@ from infotile.expressions import (
     parse_rational,
 )
 from infotile.joint import eval_expression
+from infotile.systems import ConstraintSystem
 
 from conftest import random_joint
 
@@ -137,6 +140,25 @@ def test_ci_expr_matches_naive_model(a, b, c):
     fast = ci_expr(a, b, c)
     assert fast == model and list(fast.sorted_terms()) == canonical(model)
     assert ci_expr(a, a, c) == naive(*((vs, k) for vs, k in ((a | c, one), (c, -one)) if vs))
+
+
+# "_slack1" sorts after "A" and "B" but before "a" and "b"
+ROW_NAMES = ("A", "B", "a", "b")
+row_exprs = st.dictionaries(st.frozensets(st.sampled_from(ROW_NAMES), max_size=3), coefs,
+                            max_size=5).map(InfoExpr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(row_exprs, st.sampled_from(RELATIONS)), max_size=4))
+def test_negation_and_slack_rows_keep_canonical_order(rows):
+    cs = ConstraintSystem(list(ROW_NAMES), [],
+                          [AffineConstraint(e, rel, 0, f"r{i}") for i, (e, rel) in enumerate(rows)])
+    flat = flatten(cs)
+    kept = [r for r in flat.rows if r.tag.endswith((":neg", ":le"))] + slackify(flat).rows
+    for row in kept:
+        order = row.lhs._sorted
+        assert order is not None, row.tag  # worked out when the row was built
+        assert list(order) == canonical(row.lhs) and dict(order) == row.lhs.terms, row.tag
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from infotile.compiler import SparseAffineSystem, flatten
+from infotile.compiler import flatten
 from infotile.expressions import REL_EQ, REL_GE, REL_LE, AffineConstraint, InfoExpr
 from infotile.gadgets import GadgetRef, instantiate_gadget
 from infotile.joint import entropic_vector
@@ -33,12 +33,12 @@ def eq_system(entries):
 
 def lp_rows(sas, variables=None):
     """The rows `refute` checks: elemental inequalities plus the kept system rows."""
-    names = sorted(variables or sas.var_names)
+    names = sorted(variables or sas.all_vars())
     rows = [(tag, dict(expr.terms), Fraction(0))
             for tag, expr in elemental_inequalities(len(names), names)]
     for r in sas.rows:
-        if all(vs <= set(names) for vs, _ in r.entries):
-            rows.append((r.tag, dict(r.entries), r.rhs))
+        if r.variables() <= set(names):
+            rows.append((r.tag, dict(r.lhs.terms), r.rhs))
     return rows
 
 
@@ -164,7 +164,7 @@ def test_restriction_drops_rows_mentioning_excluded_vars():
 
 def test_variable_cap():
     names = [f"X{i}" for i in range(1, 12)]
-    sas = SparseAffineSystem(names, [])
+    sas = ConstraintSystem(names, [], [])
     with pytest.raises(RefuterError):
         refute(sas)
 
