@@ -5,11 +5,15 @@ exact rational probability vector) plus, per variable, a deterministic lookup
 table.  A base variable's table is over the product of the seeds it
 references; a derived variable's table is over the values of other
 variables (its inputs) and then its own seeds.  Marginal entropies are
-computed lazily: only the seeds of the queried variables' input closure
-are enumerated, block by block where they fall into groups that share no
-seed, and each subset's entropy once per joint.  Every enumeration
-(entropies, exact marginals, witness tables) lays tables out over a seed
-product through `_broadcast_values`.
+computed lazily, each subset's once per joint, and only over the seeds of
+the queried variables' input closure.  Each variable's closure seeds are
+worked out once per joint too.  A subset whose seed product has at most
+`FLAT_ATOM_LIMIT` atoms is counted over that whole product; `_entropies`
+computes many subsets at once, and lays out each variable once for all the
+subsets that share one seed product.  A larger subset is enumerated block
+by block where its closure falls into groups that share no seed.  Every
+enumeration (entropies, exact marginals, witness tables) lays tables out
+over a seed product through `_broadcast_values`.
 
 Probabilities stay exact rationals; only logarithms are floating point.
 Entropies are in bits.
@@ -27,6 +31,9 @@ import numpy as np
 from .expressions import InfoExpr, frac, frac_str
 
 DEFAULT_VECTOR_LIMIT = 16
+# Subsets whose seed product has at most this many atoms are counted over
+# the whole product, with their variables laid out once per product.
+FLAT_ATOM_LIMIT = 2**16
 
 
 class UnknownVariable(KeyError):
@@ -116,6 +123,7 @@ class FactoredJoint:
         self.seeds: dict[str, Seed] = {}
         self.variables: dict[str, Variable] = {}
         self._entropies: dict[frozenset, float] = {}
+        self._closure_seeds: dict[str, frozenset] = {}
         self.add(seeds, variables)
 
     def add(self, seeds: list[Seed] = (), variables: list[Variable] = ()) -> None:
@@ -125,7 +133,7 @@ class FactoredJoint:
         admitted.  A derived variable's inputs must be admitted before it, so
         variables never read each other in a cycle.  No memoized entropy goes
         stale, because the old variables keep their names and read-only
-        tables.
+        tables, and their closure seeds stay what they were.
         """
         for s in seeds:
             if s.name in self.seeds:
@@ -153,11 +161,12 @@ class FactoredJoint:
         """A new joint: this one plus new seeds and variables, whose names must be new.
 
         This joint is unchanged; the extension starts from copies of its
-        dicts and entropy memo.
+        dicts, entropy memo and closure-seed memo.
         """
         out = FactoredJoint()
         out.seeds, out.variables = dict(self.seeds), dict(self.variables)
         out._entropies = dict(self._entropies)
+        out._closure_seeds = dict(self._closure_seeds)
         out.add(seeds, variables)
         return out
 
@@ -177,15 +186,27 @@ class FactoredJoint:
     def var_names(self) -> list[str]:
         return list(self.variables)
 
+    def _seeds_of(self, name: str):
+        """The seeds read by `name` and its input closure.
+
+        A base variable's are its own seeds; a derived variable's are
+        worked out once per joint.
+        """
+        seeds = self._closure_seeds.get(name)
+        if seeds is None:
+            v = self.var(name)
+            if not v.inputs:
+                return v.seeds
+            seeds = frozenset(v.seeds).union(*map(self._seeds_of, v.inputs))
+            self._closure_seeds[name] = seeds
+        return seeds
+
     def referenced_seeds(self, names) -> list[str]:
         """The seeds read by `names` and their input closure, in canonical (sorted) order."""
-        return sorted({sn for v in _closure(self, names) for sn in v.seeds})
+        return sorted(frozenset().union(*map(self._seeds_of, names)))
 
     def atoms_for(self, names) -> int:
-        total = 1
-        for sn in self.referenced_seeds(names):
-            total *= self.seeds[sn].size
-        return total
+        return _atoms(self.seeds, self.referenced_seeds(names))
 
 
 # --- evaluation engine ---
@@ -254,6 +275,11 @@ def _on_seeds(joint: FactoredJoint, v: Variable, order) -> np.ndarray:
 
 def _product_shape(seeds: dict[str, Seed], order) -> list[int]:
     return [seeds[sn].size for sn in order] or [1]
+
+
+def _atoms(seeds: dict[str, Seed], order) -> int:
+    """The number of atoms of the product over the seeds in `order`."""
+    return math.prod(seeds[sn].size for sn in order)
 
 
 def _atom_probs(seeds: dict[str, Seed], order) -> np.ndarray:
@@ -386,26 +412,94 @@ def _layout(joint: FactoredJoint, names, extra=(), probs=False):
     return [values[n] for n in names] + cols[len(items) - len(extra):], shape, weights
 
 
+def _entropy(pm: np.ndarray, atoms: int | None) -> float:
+    """H in bits of a law given by its nonzero masses `pm`.
+
+    With `atoms`, the masses are atom counts out of that many equally
+    likely atoms; otherwise they are probabilities.
+    """
+    if atoms is None:
+        return float(-np.dot(pm, np.log2(pm)))
+    counts = pm.astype(np.float64)
+    return math.log2(atoms) - float(np.dot(counts, np.log2(counts))) / atoms
+
+
+def _flat_entropies(joint: FactoredJoint, order, keys) -> list[float]:
+    """H of each name set in `keys`, whose closure seeds are exactly `order`.
+
+    Every variable the keys read, derived ones included, is laid out once
+    over the seed product (through `_on_seeds`); each named one is then
+    stored flat, and each key is counted over every atom of the product.
+    The arrays are dropped on return.
+    """
+    named = set().union(*keys)
+    values: dict[str, np.ndarray] = {}
+    for v in _closure(joint, named):
+        if v.inputs:
+            args = [*(values[n] for n in v.inputs),
+                    *(_on_seeds(joint, _coordinate(joint.seeds[sn]), order) for sn in v.seeds)]
+            values[v.name] = _lookup(joint, v, args)
+        else:
+            values[v.name] = _on_seeds(joint, v, order)
+    shape = _product_shape(joint.seeds, order)
+    atoms = math.prod(shape)
+    flat = {n: np.broadcast_to(values[n], shape).ravel() for n in named}
+    del values
+    weights = None
+    if not all(joint.seeds[sn].uniform for sn in order):
+        weights = np.broadcast_to(_atom_probs(joint.seeds, order), shape).ravel()
+    out = []
+    for key in keys:
+        names = sorted(key)
+        codes, span = _codes([flat[n] for n in names],
+                             [joint.variables[n].vmax + 1 for n in names], [atoms])
+        out.append(_entropy(_totals(codes, span, weights), atoms if weights is None else None))
+    return out
+
+
+def _entropies(joint: FactoredJoint, orders: dict) -> list[float]:
+    """H of each name set in `orders` (which maps it to its referenced seeds), memoized.
+
+    Keys the joint's memo lacks are computed and written into it.  Those
+    with at most `FLAT_ATOM_LIMIT` atoms are grouped by seed product, and
+    each group of two or more is counted by `_flat_entropies` with one
+    layout; every other key is one `subset_entropy` call.
+    """
+    memo = joint._entropies
+    groups: dict[tuple, list] = {}
+    for key, order in orders.items():
+        if key not in memo:
+            if _atoms(joint.seeds, order) <= FLAT_ATOM_LIMIT:
+                groups.setdefault(tuple(order), []).append(key)
+            else:
+                memo[key] = subset_entropy(joint, key)
+    for order, keys in groups.items():
+        if len(keys) == 1:
+            memo[keys[0]] = subset_entropy(joint, keys[0])
+        else:
+            memo.update(zip(keys, _flat_entropies(joint, order, keys)))
+    return [memo[key] for key in orders]
+
+
 def subset_entropy(joint: FactoredJoint, names) -> float:
     """Joint entropy H of the named variables, in bits.
 
-    Enumerates only the seeds of the names' input closure, block-wise (see
-    `_layout`).  This is the uncached computation; `FactoredJoint.entropy`
-    memoizes it.
+    Enumerates only the seeds of the names' input closure: over their whole
+    product when it has at most `FLAT_ATOM_LIMIT` atoms, else block-wise
+    (see `_layout`).  This is the uncached computation;
+    `FactoredJoint.entropy` and `_entropies` memoize it.
     """
     names = sorted(set(names))
     if not names:
         return 0.0
     order = joint.referenced_seeds(names)
+    if _atoms(joint.seeds, order) <= FLAT_ATOM_LIMIT:
+        return _flat_entropies(joint, order, [names])[0]
     uniform = all(joint.seeds[sn].uniform for sn in order)
     cols, shape, weights = _layout(joint, names, probs=not uniform)
     codes, span = _codes(cols, [joint.var(n).vmax + 1 for n in names], shape)
     pm = _totals(codes, span, None if weights is None else np.broadcast_to(weights, shape).ravel())
-    if uniform:
-        total = math.prod(joint.seeds[sn].size for sn in order)
-        counts = pm.astype(np.float64)
-        return math.log2(total) - float(np.dot(counts, np.log2(counts))) / total
-    return float(-np.dot(pm, np.log2(pm)))
+    return _entropy(pm, _atoms(joint.seeds, order) if uniform else None)
 
 
 def eval_expression(joint: FactoredJoint, expr: InfoExpr) -> float:
@@ -457,7 +551,7 @@ def _pmf(joint: FactoredJoint, names) -> dict[tuple, Fraction]:
     code share one exact weight.  Zero-probability atoms are left out.
     """
     order = joint.referenced_seeds(names)
-    if math.prod(joint.seeds[sn].size for sn in order) >= 2**53:
+    if _atoms(joint.seeds, order) >= 2**53:
         raise ValueError("too many atoms to count exactly in floating point")
     base, levels, classes = Fraction(1), [], []
     for sn in order:

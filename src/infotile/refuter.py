@@ -15,6 +15,7 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -137,12 +138,16 @@ def refute(sas: ConstraintSystem, variables: list[str] | None = None) -> LPOutco
 
     With `variables` given, rows mentioning any excluded variable are
     dropped before the check (a sound relaxation: REFUTED still implies the
-    full system has no realization).
+    full system has no realization).  A restriction that names a variable
+    twice is refused, with the repeated names.
     """
     names = sas.all_vars()
     if variables is None:
         variables = names
     varset_all = frozenset(variables)
+    if len(varset_all) != len(variables):
+        repeated = sorted(n for n, count in Counter(variables).items() if count > 1)
+        raise RefuterError(f"restriction names a variable more than once: {', '.join(repeated)}")
     if not varset_all <= set(names):
         raise RefuterError("restriction names unknown to the system")
     n = len(variables)

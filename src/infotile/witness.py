@@ -34,8 +34,8 @@ import numpy as np
 from .compiler import compile_ttori_indexed, slack_name
 from .expressions import REL_EQ, REL_GE
 from .gadgets import BuildIndex, CycsIx, FlipIx, SatIx, SwIx, UnifIx, w_of_color
-from .joint import (FactoredJoint, Seed, Variable, _coordinate, _on_seeds, _pmf, _product_shape,
-                    _uniform_size, binary_entropy, eval_expression, uniform_seed)
+from .joint import (FactoredJoint, Seed, Variable, _atoms, _coordinate, _entropies, _on_seeds, _pmf,
+                    _product_shape, _uniform_size, binary_entropy, eval_expression, uniform_seed)
 from .systems import ConstraintSystem
 from .tiling import PeriodicTiling, TileSet, validate_tiling
 
@@ -490,12 +490,29 @@ def verify(joint: FactoredJoint, system, tol: float = UNIT_TOL) -> VerificationR
 
     Equality rows pass when |lhs - rhs| <= tol; inequality rows may violate
     their direction by at most tol.  Row order and results are deterministic;
-    `atoms` records the largest single marginal enumeration the row needs.
+    `atoms` records the largest single marginal enumeration the row needs:
+    the size of the seed product of its largest term.
+
+    The rows are first turned into one evaluation plan: each distinct term
+    subset is one column, holding its entropy and the atom count of its
+    sorted closure seeds (read from the joint's closure-seed memo).  The
+    entropies the joint's memo lacks are computed in one batch
+    (`joint._entropies`).  Each row then reads its columns in its kept
+    canonical term order, and its value is summed in the order
+    `eval_expression` sums it.
     """
     rows = system.rows if isinstance(system, ConstraintSystem) else list(system)
+    orders = {vs: joint.referenced_seeds(vs)
+              for vs in dict.fromkeys(vs for row in rows for vs in row.lhs.terms)}
+    atoms = (_atoms(joint.seeds, order) for order in orders.values())
+    plan = dict(zip(orders, zip(_entropies(joint, orders), atoms)))
     report = VerificationReport(tolerance=tol)
     for row in rows:
-        value = eval_expression(joint, row.lhs)
+        value, row_atoms = 0.0, 0
+        for vs, coef in row.lhs.sorted_terms():
+            entropy, column_atoms = plan[vs]
+            value += float(coef) * entropy
+            row_atoms = max(row_atoms, column_atoms)
         rhs = float(row.rhs)
         residual = value - rhs
         if row.rel == REL_EQ:
@@ -504,9 +521,8 @@ def verify(joint: FactoredJoint, system, tol: float = UNIT_TOL) -> VerificationR
             violation = max(0.0, -residual)
         else:
             violation = max(0.0, residual)
-        atoms = max((joint.atoms_for(vs) for vs in row.lhs.terms), default=0)
         report.rows.append(
-            RowResult(row.tag, row.rel, value, rhs, residual, violation, violation <= tol, atoms)
+            RowResult(row.tag, row.rel, value, rhs, residual, violation, violation <= tol, row_atoms)
         )
     return report
 

@@ -106,23 +106,28 @@ def test_criterion_3_constant_pickers():
 
 
 def _oracle_exists(ts: TileSet, max_period: int, cache: dict) -> bool:
-    """Naive full-enumeration oracle, vectorized per torus shape."""
+    """Naive full-enumeration oracle: every grid of every torus shape, vectorized per shape.
+
+    `cache` holds, per shape and tile count T, each grid's pairs of
+    horizontally and vertically adjacent cells as indices `tile * T +
+    neighbour` into the set's two T x T edge-compatibility tables.
+    """
     n_e_s_w = np.array(ts.tiles, dtype=np.int8)
     north, east, south, west = (n_e_s_w[:, i] for i in range(4))
     T = len(ts.tiles)
+    fits_h = (east[:, None] == west[None, :]).ravel()  # [i * T + j]: j may lie east of i
+    fits_v = (north[:, None] == south[None, :]).ravel()  # [i * T + j]: j may lie north of i
     for a in range(1, max_period + 1):
         for b in range(1, max_period + 1):
             key = (a, b, T)
             if key not in cache:
-                cells = a * b
                 grids = np.array(
-                    list(product(range(T), repeat=cells)), dtype=np.int8
+                    list(product(range(T), repeat=a * b)), dtype=np.intp
                 ).reshape(-1, b, a)
-                cache[key] = grids
-            g = cache[key]
-            ok_h = east[g] == west[np.roll(g, -1, axis=2)]
-            ok_v = north[g] == south[np.roll(g, -1, axis=1)]
-            if bool((ok_h.all(axis=(1, 2)) & ok_v.all(axis=(1, 2))).any()):
+                cache[key] = tuple((grids * T + np.roll(grids, -1, axis=axis)).reshape(len(grids), -1)
+                                   for axis in (2, 1))
+            pairs_h, pairs_v = cache[key]
+            if bool((fits_h[pairs_h].all(axis=1) & fits_v[pairs_v].all(axis=1)).any()):
                 return True
     return False
 

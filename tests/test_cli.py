@@ -295,6 +295,15 @@ def test_wrong_kind_input_is_one_line_diagnostic(tmp_path, kind, text):
     assert expected in lines[0]
 
 
+def test_refute_repeated_variable_is_one_line_diagnostic(workdir, capsys):
+    sas = workdir / "mono.sas.json"
+    sas.write_text(sas_dumps(flatten(compile_ttori(TileSet(1, ((1, 1, 1, 1),))))))
+    assert cli.main(["refute", str(sas), "--vars", "X1", "X1", "F"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: restriction names a variable more than once: X1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["compile", "SCALAR"],
     ["tile-search", "SCALAR", "--max-period", "1"],
@@ -351,6 +360,16 @@ def test_refute_demo_script_runs():
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "certificate replays exactly" in proc.stdout
+
+
+def test_entropy_digest_script_pins_mono():
+    # every mono subset entropy, bit for bit: any drift in the engine shows here
+    script = Path(__file__).resolve().parents[1] / "scripts" / "entropy_digest.py"
+    proc = subprocess.run([sys.executable, str(script), "--set", "mono"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("mono: 4669 subsets, sha256 "
+                           "9175f379f549a67f4f0a2f2d2a23271cc3d9ec4d61d9168619d7c700f523c508\n")
 
 
 def test_package_exports_resolve():

@@ -169,6 +169,12 @@ def test_variable_cap():
         refute(sas)
 
 
+def test_repeated_restriction_variable_is_named():
+    sas = eq_system([(("X1", "X2"), 1), (("X2",), 1)])
+    with pytest.raises(RefuterError, match="more than once: X1$"):
+        refute(sas, variables=["X1", "X1", "X2"])
+
+
 def test_compiled_instance_projection_is_unknown():
     # witnesses exist for compiled tileable instances, so any variable
     # restriction of the flattened system must stay feasible

@@ -1,14 +1,25 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_derived_joint, random_probs
+
+from infotile import joint as joint_mod
 from infotile.compiler import compile_ttori, compile_ttori_indexed
+from infotile.expressions import REL_EQ, REL_GE, REL_LE, AffineConstraint, InfoExpr
 from infotile.joint import (
+    FLAT_ATOM_LIMIT,
+    FactoredJoint,
+    Seed,
+    Variable,
+    eval_expression,
     exact_marginal,
     exact_uniform_over,
     joint_dumps,
     joint_loads,
+    uniform_seed,
 )
 from infotile.systems import ConstraintSystem
 from infotile.tiling import PeriodicTiling, TileSet, find_periodic_tiling
@@ -389,3 +400,62 @@ def test_each_subset_entropy_computed_once_per_witness(monkeypatch):
     assert verify(extended, slackify(sas), tol=1e-9).passed
     assert calls and set(calls.values()) == {1}
     assert any(n.startswith("_slack") for vs in calls for n in vs)
+
+
+# --- the evaluation plan ---
+
+
+def _wide_joint() -> FactoredJoint:
+    """A and D over a skewed seed s and a uniform t, B over t and u, and C
+    derived from A and B: every set holding C, or A and B, reads 80,000
+    atoms, above `FLAT_ATOM_LIMIT`."""
+    rng = random.Random(7)
+    s, t, u = Seed("s", 50, random_probs(rng, 50)), uniform_seed("t", 40), uniform_seed("u", 40)
+    table = lambda n, m: [rng.randrange(m) for _ in range(n)]
+    return FactoredJoint([s, t, u], [
+        Variable("A", ("s", "t"), table(2000, 4)),
+        Variable("D", ("t", "s"), table(2000, 3)),
+        Variable("B", ("t", "u"), table(1600, 4)),
+        Variable("C", ("u",), table(4 * 4 * 40, 5), ("A", "B")),
+    ])
+
+
+def _random_rows(rng: random.Random, names: list[str], count: int) -> list[AffineConstraint]:
+    rows = []
+    for i in range(count):
+        terms = {frozenset(rng.sample(names, rng.randint(1, min(3, len(names))))):
+                 Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))}
+        rel = rng.choice((REL_EQ, REL_GE, REL_LE))
+        rows.append(AffineConstraint(InfoExpr(terms), rel, Fraction(rng.randint(-8, 8), 4), f"r{i}"))
+    return rows
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_plan_matches_row_by_row_evaluation(case, monkeypatch):
+    """Plan-based `verify` against `eval_expression` on a fresh copy of the joint."""
+    make = _wide_joint if case == 0 else lambda: random_derived_joint(random.Random(case))
+    joint, fresh = make(), make()
+    names = joint.var_names()
+    rows = _random_rows(random.Random(100 + case), names, 40)
+    if case == 0:  # keys on both sides of the limit, and one seed product of several keys
+        sizes = [joint.atoms_for(vs) for row in rows for vs in row.lhs.terms]
+        assert min(sizes) <= FLAT_ATOM_LIMIT < max(sizes)
+        rows.append(AffineConstraint(InfoExpr.entropy(["A", "D"]), REL_GE, 0, "ad"))
+    tol = 1e-3
+    report = verify(joint, rows, tol=tol)
+    for row, got in zip(rows, report.rows, strict=True):
+        value = eval_expression(fresh, row.lhs)
+        residual = value - float(row.rhs)
+        violation = {REL_EQ: abs(residual), REL_GE: max(0.0, -residual),
+                     REL_LE: max(0.0, residual)}[row.rel]
+        assert got.value == pytest.approx(value, abs=1e-12)
+        assert got.residual == pytest.approx(residual, abs=1e-12)
+        assert got.passed == (violation <= tol)
+        assert got.atoms == max((fresh.atoms_for(vs) for vs in row.lhs.terms), default=0)
+
+    def computed(*args):
+        raise AssertionError("an entropy was computed again")
+
+    monkeypatch.setattr(joint_mod, "subset_entropy", computed)
+    monkeypatch.setattr(joint_mod, "_flat_entropies", computed)
+    assert report_dumps(verify(joint, rows, tol=tol)) == report_dumps(report)
